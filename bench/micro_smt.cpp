@@ -62,6 +62,19 @@ void BM_MiniSmtUnsatDisequalities(benchmark::State &State) {
 }
 BENCHMARK(BM_MiniSmtUnsatDisequalities);
 
+/// The readers-writers VC that enterReader (readers++) cannot make a false
+/// writer predicate (readers == 0 && !writerIn) true.
+const Term *readersWritersVC(TermContext &C) {
+  const Term *Readers = C.var("readers", Sort::Int);
+  const Term *WriterIn = C.var("writerIn", Sort::Bool);
+  const Term *Pw = C.and_(C.eq(Readers, C.getZero()), C.not_(WriterIn));
+  return C.implies(
+      C.and_({C.ge(Readers, C.getZero()), C.not_(WriterIn), C.not_(Pw)}),
+      C.not_(C.and_(C.eq(C.add(Readers, C.getOne()), C.getZero()),
+                    C.not_(WriterIn))));
+}
+
+/// Cold: a new backend per VC, so every check pays Z3's start-up.
 void BM_Z3ReadersWritersVC(benchmark::State &State) {
   if (!solver::hasZ3()) {
     State.SkipWithError("Z3 backend not built");
@@ -70,17 +83,28 @@ void BM_Z3ReadersWritersVC(benchmark::State &State) {
   for (auto _ : State) {
     TermContext C;
     auto S = solver::createSolver(solver::SolverKind::Z3, C);
-    const Term *Readers = C.var("readers", Sort::Int);
-    const Term *WriterIn = C.var("writerIn", Sort::Bool);
-    const Term *Pw = C.and_(C.eq(Readers, C.getZero()), C.not_(WriterIn));
-    const Term *VC = C.implies(
-        C.and_({C.ge(Readers, C.getZero()), C.not_(WriterIn), C.not_(Pw)}),
-        C.not_(C.and_(C.eq(C.add(Readers, C.getOne()), C.getZero()),
-                      C.not_(WriterIn))));
-    benchmark::DoNotOptimize(S->checkValid(VC));
+    benchmark::DoNotOptimize(S->checkValid(readersWritersVC(C)));
   }
 }
 BENCHMARK(BM_Z3ReadersWritersVC);
+
+/// Warm: one backend whose session answers the same VC in a push/pop scope,
+/// the per-check cost once a placement session is running.
+void BM_Z3ReadersWritersVCSession(benchmark::State &State) {
+  if (!solver::hasZ3()) {
+    State.SkipWithError("Z3 backend not built");
+    return;
+  }
+  TermContext C;
+  auto S = solver::createSolver(solver::SolverKind::Z3, C);
+  const Term *NotVC = C.not_(readersWritersVC(C));
+  for (auto _ : State) {
+    S->push();
+    benchmark::DoNotOptimize(S->checkSatAssuming({NotVC}));
+    S->pop();
+  }
+}
+BENCHMARK(BM_Z3ReadersWritersVCSession);
 
 void BM_CooperEliminate(benchmark::State &State) {
   for (auto _ : State) {

@@ -405,8 +405,8 @@ private:
   const core::PlacementResult &R;
   const SemaInfo &Sema;
   std::ostringstream OS;
-  std::set<const PredicateClass *> Used;
-  std::set<const PredicateClass *> Chained;
+  std::set<const PredicateClass *, PredicateClassIndexLess> Used;
+  std::set<const PredicateClass *, PredicateClassIndexLess> Chained;
 };
 
 } // namespace

@@ -203,7 +203,7 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
   const SemaInfo &Sema = *R.Sema;
   std::ostringstream OS;
 
-  std::set<const PredicateClass *> Used, Chained;
+  std::set<const PredicateClass *, PredicateClassIndexLess> Used, Chained;
   for (const CcrInfo &CI : Sema.Ccrs)
     if (!CI.Guard->isTrue())
       Used.insert(CI.Class);

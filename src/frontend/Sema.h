@@ -52,6 +52,15 @@ struct PredicateClass {
   bool isGround() const { return Placeholders.empty(); }
 };
 
+/// Orders predicate classes by their dense Index. Use this instead of the
+/// default `std::less<const PredicateClass *>` (heap-address order) for any
+/// set or map whose iteration order reaches emitted text.
+struct PredicateClassIndexLess {
+  bool operator()(const PredicateClass *A, const PredicateClass *B) const {
+    return A->Index < B->Index;
+  }
+};
+
 /// Per-CCR semantic information.
 struct CcrInfo {
   const WaitUntil *W = nullptr;

@@ -104,8 +104,8 @@ CheckResult SolverSession::checkSatAbsolute(const Term *F) {
   // With no prefix pushed, the session stack is empty and a scoped check is
   // *exactly* an absolute one — so it may ride the long-lived solver (this
   // is how invariant inference reuses contexts without asserting anything).
-  // With prefixes pushed, absolute semantics require the context-fresh
-  // one-shot path.
+  // With prefixes pushed, absolute semantics require the backend's plain
+  // checkSat, which never sees the stack.
   auto Compute = [this](const Term *G) {
     return (InvariantPushed || GuardPushed) ? Backend.checkSat(G)
                                             : computeScoped(G);

@@ -11,12 +11,12 @@
 /// for checking logical validity"). Compiled only when z3++.h is available;
 /// Z3Stub.cpp provides the factory otherwise.
 ///
+/// Every solver is Z3's bare SMT kernel (z3::solver::simple()). The default
+/// combined solver runs a tactic pre-pass whose start-up dominates the small
+/// queries placement issues; the kernel answers them without it.
+///
 /// Two discharge paths coexist per backend instance:
 ///
-///   * checkSat() is *absolute and context-fresh*: a new z3::context and
-///     z3::solver per query, exactly the paper-style one-context-per-query
-///     configuration. This is deliberately not sped up — it is the
-///     --incremental=off ablation baseline.
 ///   * The session API (push/pop/assertTerm/checkSatAssuming/checkSatBatch)
 ///     runs against one lazily-created long-lived z3::context + z3::solver,
 ///     with a persistent Term→expr translation memo, so shared prefixes are
@@ -26,6 +26,12 @@
 ///     reading answers out of one model (sat decides every formula at once)
 ///     or unsat cores (a singleton core decides its formula; larger cores
 ///     fall back to per-literal checks that still re-assert nothing).
+///   * checkSat() is *absolute*. While a session is live it runs on a
+///     second solver in the session's context, sharing the translation
+///     memo, and pushes, checks and pops over a stack that is always empty.
+///     With no session (the --incremental=off ablation baseline) it builds
+///     a new z3::context and solver per query, the paper-style
+///     one-context-per-query configuration.
 ///
 /// Every session entry point catches z3 exceptions and fails closed (false
 /// or Unknown) — a broken session can cost performance, never an answer.
@@ -39,6 +45,7 @@
 #include <climits>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -54,35 +61,27 @@ public:
 
   CheckResult checkSat(const Term *F) override {
     ++Queries;
-    CheckResult Out;
-    if (cancelled())
-      return Out; // Unknown without spinning up a context
-    z3::context Z3Ctx;
+    if (cancelled()) {
+      // Unknown without touching a solver. A live session is retired, as
+      // after any cancelled check: later session calls fail closed.
+      if (TheSession)
+        killSession();
+      return CheckResult();
+    }
+    // While a session is live, the query rides its context and translation
+    // memo on a second solver whose stack is always empty, so the check
+    // stays absolute. Without one (--incremental=off), every query gets a
+    // context of its own.
+    if (TheSession)
+      return scopedCheck(*TheSession, /*Absolute=*/true, {F});
     try {
-      z3::solver Solver(Z3Ctx);
-      applyDeadline(Solver);
-      // An explicit cancel() interrupts the live context mid-solve; the
-      // deadline itself rides Z3's native timeout watchdog (applyDeadline),
-      // which cannot perturb a check that completes in time.
-      support::ScopedInterrupt Guard(Cancel,
-                                     [&Z3Ctx] { Z3Ctx.interrupt(); });
+      z3::context Z3Ctx;
+      z3::solver Solver(Z3Ctx, z3::solver::simple());
       std::unordered_map<const Term *, z3::expr> Memo;
-      Solver.add(translate(Z3Ctx, F, Memo));
-      switch (Solver.check()) {
-      case z3::unsat:
-        Out.TheAnswer = Answer::Unsat;
-        return Out;
-      case z3::unknown:
-        Out.TheAnswer = Answer::Unknown;
-        return Out;
-      case z3::sat:
-        break;
-      }
-      extractModel(Out, Z3Ctx, Solver.get_model(), {F}, Memo);
+      return solve(Z3Ctx, Solver, {F}, Memo);
     } catch (const z3::exception &) {
       return CheckResult(); // Unknown — an interrupted solve may throw
     }
-    return Out;
   }
 
   std::string name() const override { return "z3"; }
@@ -138,47 +137,12 @@ public:
   CheckResult checkSatAssuming(
       const std::vector<const Term *> &Assumptions) override {
     ++Queries;
-    CheckResult Out;
     if (cancelled())
-      return Out;
+      return CheckResult();
     Session *S = session();
     if (!S)
-      return Out;
-    // A temporary scope keeps the assumptions out of the persistent stack;
-    // arbitrary formulas (not just literals) are allowed this way.
-    try {
-      S->Solver.push();
-    } catch (const z3::exception &) {
-      killSession();
-      return Out;
-    }
-    try {
-      applyDeadline(S->Solver);
-      support::ScopedInterrupt Guard(Cancel,
-                                     [S] { S->Ctx.interrupt(); });
-      for (const Term *A : Assumptions)
-        S->Solver.add(translate(S->Ctx, A, S->Memo));
-      switch (S->Solver.check()) {
-      case z3::unsat:
-        Out.TheAnswer = Answer::Unsat;
-        break;
-      case z3::unknown:
-        break;
-      case z3::sat:
-        extractModel(Out, S->Ctx, S->Solver.get_model(), Assumptions,
-                     S->Memo);
-        break;
-      }
-      S->Solver.pop(); // matches the push above; Depth is untouched
-    } catch (const z3::exception &) {
-      killSession();
       return CheckResult();
-    }
-    // Fail closed: a session whose check was cut short by cancellation is
-    // retired, not resumed — later sessions start from a clean context.
-    if (Out.TheAnswer == Answer::Unknown && cancelled())
-      killSession();
-    return Out;
+    return scopedCheck(*S, /*Absolute=*/false, Assumptions);
   }
 
   std::vector<CheckResult>
@@ -303,11 +267,14 @@ private:
   /// backend's lifetime and shared subterms translate exactly once.
   struct Session {
     z3::context Ctx;
-    z3::solver Solver;
+    z3::solver Solver; ///< carries the push()/assertTerm() stack
+    /// Answers checkSat() while the session lives; created on first use.
+    /// Its stack is empty between checks, so every check is absolute.
+    std::optional<z3::solver> Absolute;
     std::unordered_map<const Term *, z3::expr> Memo;
     unsigned Depth = 0;      ///< open push() scopes
     uint64_t ProxyBatch = 0; ///< uniquifies batch assumption literals
-    Session() : Solver(Ctx) {}
+    Session() : Solver(Ctx, z3::solver::simple()) {}
   };
 
   Session *session() {
@@ -324,12 +291,63 @@ private:
     return TheSession.get();
   }
 
-  /// After any z3 exception the session state is unreliable; retire it so
-  /// every later session call fails closed (plain checkSat is unaffected —
-  /// it never touches the session).
+  /// After any z3 exception or cancelled check the session state is
+  /// unreliable; retire it so every later session call fails closed. Plain
+  /// checkSat falls back to a context per query.
   void killSession() {
     TheSession.reset();
     SessionDead = true;
+  }
+
+  /// Adds \p Fs to \p Solver's current scope and checks, reading a model
+  /// over the free variables of \p Fs on sat. An explicit cancel()
+  /// interrupts the context mid-solve; the deadline itself rides Z3's
+  /// native timeout watchdog (applyDeadline), which cannot perturb a check
+  /// that completes in time. Throws what Z3 throws.
+  CheckResult solve(z3::context &Z, z3::solver &Solver,
+                    const std::vector<const Term *> &Fs,
+                    std::unordered_map<const Term *, z3::expr> &Memo) {
+    applyDeadline(Solver);
+    support::ScopedInterrupt Guard(Cancel, [&Z] { Z.interrupt(); });
+    for (const Term *F : Fs)
+      Solver.add(translate(Z, F, Memo));
+    CheckResult Out;
+    switch (Solver.check()) {
+    case z3::unsat:
+      Out.TheAnswer = Answer::Unsat;
+      break;
+    case z3::unknown:
+      break;
+    case z3::sat:
+      extractModel(Out, Z, Solver.get_model(), Fs, Memo);
+      break;
+    }
+    return Out;
+  }
+
+  /// Decides sat(stack ∧ Fs) inside a temporary scope, which keeps \p Fs
+  /// (arbitrary formulas, not just literals) out of the stack: on the
+  /// session solver, or with \p Absolute on the session's empty-stack
+  /// solver, which makes it sat(Fs).
+  CheckResult scopedCheck(Session &S, bool Absolute,
+                          const std::vector<const Term *> &Fs) {
+    CheckResult Out;
+    try {
+      if (Absolute && !S.Absolute)
+        S.Absolute.emplace(S.Ctx, z3::solver::simple());
+      z3::solver &Solver = Absolute ? *S.Absolute : S.Solver;
+      Solver.push();
+      Out = solve(S.Ctx, Solver, Fs, S.Memo);
+      Solver.pop();
+    } catch (const z3::exception &) {
+      killSession();
+      return CheckResult();
+    }
+    // Fail closed: a session whose check was cut short by cancellation is
+    // retired, not resumed — later sessions start from a clean context.
+    if (Out.TheAnswer == Answer::Unknown && cancelled())
+      killSession();
+    return Out;
   }
 
   /// Arms Z3's per-check timeout watchdog with the token's remaining

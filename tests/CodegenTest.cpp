@@ -12,9 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 using namespace expresso;
 using namespace expresso::frontend;
@@ -120,6 +124,44 @@ TEST(CppCodegenTest, LocalPredicateWaiterRegistry) {
   EXPECT_NE(Code.find("struct WaiterC"), std::string::npos) << Code;
   EXPECT_NE(Code.find("w_.p0 = k;"), std::string::npos) << Code;
   EXPECT_NE(Code.find("->p0"), std::string::npos) << Code;
+}
+
+/// The class indices named by \p Marker ("// predicate class c", "// class
+/// c") in \p Code, in emission order.
+std::vector<unsigned> classOrder(const std::string &Code,
+                                 const std::string &Marker) {
+  std::vector<unsigned> Order;
+  for (size_t At = Code.find(Marker); At != std::string::npos;
+       At = Code.find(Marker, At + 1))
+    Order.push_back(static_cast<unsigned>(
+        std::strtoul(Code.c_str() + At + Marker.size(), nullptr, 10)));
+  return Order;
+}
+
+TEST(CodegenDeterminismTest, SameSpecTwiceEmitsSameText) {
+  const bench::BenchmarkDef *Def = bench::findBenchmark("SleepingBarber");
+  ASSERT_NE(Def, nullptr);
+  CodegenFixture First(Def->Source);
+  // Recycle PredicateClass-sized blocks so the second analysis allocates
+  // its classes at addresses out of Index order: heap-address order would
+  // then change what the emitters print.
+  {
+    std::vector<std::unique_ptr<PredicateClass>> Blocks;
+    for (int I = 0; I < 256; ++I)
+      Blocks.push_back(std::make_unique<PredicateClass>());
+  }
+  CodegenFixture Second(Def->Source);
+  ASSERT_GE(Second.Sema->Classes.size(), 3u);
+
+  std::string Cpp = codegen::emitCpp(First.Result);
+  std::string Java = codegen::emitJava(First.Result);
+  EXPECT_EQ(Cpp, codegen::emitCpp(Second.Result));
+  EXPECT_EQ(Java, codegen::emitJava(Second.Result));
+  std::vector<unsigned> CppOrder = classOrder(Cpp, "// predicate class c");
+  std::vector<unsigned> JavaOrder = classOrder(Java, "// class c");
+  EXPECT_GE(CppOrder.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(CppOrder.begin(), CppOrder.end()));
+  EXPECT_EQ(CppOrder, JavaOrder);
 }
 
 /// The strongest codegen test: every benchmark's generated C++ must be

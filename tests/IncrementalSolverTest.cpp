@@ -465,4 +465,42 @@ TEST(SolverSessionTest, BatchUnderGuardEqualsOneShot) {
   EXPECT_EQ(S.numQueries(), 3u);
 }
 
+// The Z3 backend answers checkSat inside a live session's context; it must
+// stay blind to the session stack, and a cancelled check must retire the
+// session without poisoning later absolute checks.
+TEST(SolverSessionTest, Z3AbsoluteCheckIgnoresSessionStack) {
+  if (!hasZ3())
+    GTEST_SKIP() << "Z3 backend not built";
+  TermContext C;
+  std::unique_ptr<SmtSolver> Z3 = createSolver(SolverKind::Z3, C);
+  const Term *X = C.var("ax", Sort::Int);
+  const Term *Pos = C.lt(C.getZero(), X);
+
+  ASSERT_TRUE(Z3->push());
+  ASSERT_TRUE(Z3->assertTerm(C.getFalse()));
+  EXPECT_EQ(Z3->checkSat(Pos).TheAnswer, Answer::Sat);
+  EXPECT_EQ(Z3->checkSatAssuming({Pos}).TheAnswer, Answer::Unsat);
+  ASSERT_TRUE(Z3->pop());
+  CheckResult Abs = Z3->checkSat(Pos);
+  EXPECT_EQ(Abs.TheAnswer, Answer::Sat);
+  ASSERT_TRUE(Abs.Model.count("ax"));
+  EXPECT_GT(Abs.Model.at("ax").asInt(), 0);
+  EXPECT_EQ(Z3->checkSatAssuming({Pos}).TheAnswer, Answer::Sat);
+
+  // An already-cancelled check answers Unknown and retires the session:
+  // every later session call fails closed, even with the token detached.
+  support::CancelToken Token;
+  Token.cancel();
+  Z3->setCancelToken(&Token);
+  EXPECT_EQ(Z3->checkSat(Pos).TheAnswer, Answer::Unknown);
+  Z3->setCancelToken(nullptr);
+  EXPECT_FALSE(Z3->push());
+  EXPECT_EQ(Z3->checkSatAssuming({Pos}).TheAnswer, Answer::Unknown);
+
+  // Absolute checks go on, one fresh context per query.
+  EXPECT_EQ(Z3->checkSat(Pos).TheAnswer, Answer::Sat);
+  EXPECT_EQ(Z3->checkSat(C.and_(Pos, C.lt(X, C.getOne()))).TheAnswer,
+            Answer::Unsat);
+}
+
 } // namespace
