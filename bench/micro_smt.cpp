@@ -106,6 +106,23 @@ void BM_Z3ReadersWritersVCSession(benchmark::State &State) {
 }
 BENCHMARK(BM_Z3ReadersWritersVCSession);
 
+/// Lifecycle: a fresh TermContext and backend decide the VC in one session
+/// check and are destroyed — the per-analysis (and per-request) fixed cost
+/// of a session, context acquisition and release included.
+void BM_Z3BackendLifecycle(benchmark::State &State) {
+  if (!solver::hasZ3()) {
+    State.SkipWithError("Z3 backend not built");
+    return;
+  }
+  for (auto _ : State) {
+    TermContext C;
+    auto S = solver::createSolver(solver::SolverKind::Z3, C);
+    benchmark::DoNotOptimize(
+        S->checkSatAssuming({C.not_(readersWritersVC(C))}));
+  }
+}
+BENCHMARK(BM_Z3BackendLifecycle);
+
 void BM_CooperEliminate(benchmark::State &State) {
   for (auto _ : State) {
     TermContext C;

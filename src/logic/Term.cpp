@@ -286,9 +286,15 @@ const Term *TermContext::internMiss(Shard &Sh, uint64_t H, TermKind K, Sort S,
       continue;
     }
     // Once a candidate exists, Name/Ops have been moved into it; key
-    // comparisons from then on read the candidate's own fields.
-    const std::string &KeyName = Candidate ? Candidate->Name : Name;
-    const std::vector<const Term *> &KeyOps = Candidate ? Candidate->Ops : Ops;
+    // comparisons from then on read the candidate's own fields. Decided at
+    // each comparison, not once per pass: the candidate may be built midway
+    // through this very pass, leaving the locals empty.
+    auto SameKey = [&](const Term *E) {
+      return E->structuralHash() == H &&
+             (Candidate ? matches(E, K, S, IntVal, Candidate->Name,
+                                  Candidate->Ops)
+                        : matches(E, K, S, IntVal, Name, Ops));
+    };
     const size_t Mask = T->Capacity - 1;
     size_t Idx = H & Mask;
     size_t Step = 0;
@@ -302,8 +308,7 @@ const Term *TermContext::internMiss(Shard &Sh, uint64_t H, TermKind K, Sort S,
       }
       const Term *E = T->Slots[Idx].load(std::memory_order_acquire);
       if (E) {
-        if (E->structuralHash() == H &&
-            matches(E, K, S, IntVal, KeyName, KeyOps)) {
+        if (SameKey(E)) {
           // Someone published this structure first. A constructed candidate
           // stays in the arena (destroyed with the context); its claimed id
           // becomes a gap, which only happens under concurrency.
@@ -330,8 +335,7 @@ const Term *TermContext::internMiss(Shard &Sh, uint64_t H, TermKind K, Sort S,
       // Lost the bucket; Expected now holds the winner. Fall through to
       // re-examine this slot on the next loop turn (the winner may be our
       // own key), by not advancing past it unexamined.
-      if (Expected->structuralHash() == H &&
-          matches(Expected, K, S, IntVal, KeyName, KeyOps)) {
+      if (SameKey(Expected)) {
         Sh.Writers.fetch_sub(1, std::memory_order_seq_cst);
         return Expected;
       }

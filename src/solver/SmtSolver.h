@@ -186,6 +186,10 @@ enum class SolverKind { Mini, Z3, Default, CrossCheck };
 /// True when this build has the Z3 backend compiled in.
 bool hasZ3();
 
+/// Idle Z3 contexts on the process-wide free list that session backends
+/// borrow from; 0 in builds without Z3.
+size_t z3IdleContexts();
+
 /// The name() of the backend SolverKind::Default resolves to in this build
 /// ("z3" or "mini") — computable without minting a backend. Used to key the
 /// persistent query cache to the answering solver.

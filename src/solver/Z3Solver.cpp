@@ -18,14 +18,15 @@
 /// Two discharge paths coexist per backend instance:
 ///
 ///   * The session API (push/pop/assertTerm/checkSatAssuming/checkSatBatch)
-///     runs against one lazily-created long-lived z3::context + z3::solver,
-///     with a persistent Term→expr translation memo, so shared prefixes are
-///     asserted and internalized once and each delta rides Z3's incremental
-///     state. checkSatBatch guards every formula with a fresh assumption
-///     literal and decides the family with check(assumptions) calls,
-///     reading answers out of one model (sat decides every formula at once)
-///     or unsat cores (a singleton core decides its formula; larger cores
-///     fall back to per-literal checks that still re-assert nothing).
+///     runs against one lazily-created long-lived z3::solver in a pooled
+///     z3::context (below), with a persistent Term→expr translation memo,
+///     so shared prefixes are asserted and internalized once and each delta
+///     rides Z3's incremental state. checkSatBatch guards every formula
+///     with a fresh assumption literal and decides the family with
+///     check(assumptions) calls, reading answers out of one model (sat
+///     decides every formula at once) or unsat cores (a singleton core
+///     decides its formula; larger cores fall back to per-literal checks
+///     that still re-assert nothing).
 ///   * checkSat() is *absolute*. While a session is live it runs on a
 ///     second solver in the session's context, sharing the translation
 ///     memo, and pushes, checks and pops over a stack that is always empty.
@@ -36,24 +37,108 @@
 /// Every session entry point catches z3 exceptions and fails closed (false
 /// or Unknown) — a broken session can cost performance, never an answer.
 ///
+/// Session contexts are recycled. Building a z3::context costs milliseconds
+/// (about 16.7 MB of tables touched) and does no solving, so a session
+/// takes its context from a process-wide free list of idle contexts, and
+/// the backend's destructor hands it back once the session's solvers and
+/// translation memo — everything that refers into the context — are gone.
+/// A context goes back only if its session was never retired: no z3
+/// exception, no Unknown answer and no interrupt touched it. That is
+/// recorded in the session when it happens, never re-derived from the
+/// cancel token, which may be gone by then. The free list keeps at most
+/// hardware_concurrency() idle contexts and frees the rest. Reuse cannot
+/// change an answer: the queries are quantifier-free linear integer
+/// arithmetic over arrays, which Z3 decides completely whatever the context
+/// handled before. Only sat models may differ, and Σ never reads them. The
+/// per-query contexts of the --incremental=off path are never pooled.
+///
 //===----------------------------------------------------------------------===//
 
 #include "solver/SmtSolver.h"
 
 #include <z3++.h>
 
+#include <algorithm>
+#include <atomic>
 #include <climits>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 using namespace expresso;
 using namespace expresso::solver;
 using namespace expresso::logic;
 
 namespace {
+
+/// The process-wide free list of idle session contexts. Leaked on purpose:
+/// a backend destroyed during static teardown must still find it.
+class ContextPool {
+public:
+  static ContextPool &get() {
+    static ContextPool *P = new ContextPool;
+    return *P;
+  }
+
+  /// An idle context, or a new one when none is idle.
+  std::unique_ptr<z3::context> acquire() {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      if (!Idle.empty()) {
+        std::unique_ptr<z3::context> Z = std::move(Idle.back());
+        Idle.pop_back();
+        return Z;
+      }
+    }
+    return std::make_unique<z3::context>();
+  }
+
+  /// Takes \p Z back, or frees it (after the lock is released) when the
+  /// list is full. The caller has destroyed every solver and expr of \p Z.
+  void release(std::unique_ptr<z3::context> Z) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (Idle.size() < Cap)
+      Idle.push_back(std::move(Z));
+  }
+
+  size_t idle() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Idle.size();
+  }
+
+private:
+  const size_t Cap = std::max(1u, std::thread::hardware_concurrency());
+  std::mutex Mu;
+  std::vector<std::unique_ptr<z3::context>> Idle;
+};
+
+/// A session's context, borrowed from the pool. The borrow is returned on
+/// destruction unless retire() was called; Session declares it first so it
+/// is destroyed last, after the solvers and memo that refer into it.
+class PooledContext {
+public:
+  PooledContext() : Z(ContextPool::get().acquire()) {}
+  ~PooledContext() {
+    if (!Retired.load(std::memory_order_relaxed))
+      ContextPool::get().release(std::move(Z));
+  }
+  PooledContext(const PooledContext &) = delete;
+  PooledContext &operator=(const PooledContext &) = delete;
+
+  z3::context &get() { return *Z; }
+  /// Keeps the context out of the pool. Atomic because an interrupt hook
+  /// calls it from the cancelling thread.
+  void retire() { Retired.store(true, std::memory_order_relaxed); }
+
+private:
+  std::unique_ptr<z3::context> Z;
+  std::atomic<bool> Retired{false};
+};
 
 class Z3Backend : public SmtSolver {
 public:
@@ -78,7 +163,7 @@ public:
       z3::context Z3Ctx;
       z3::solver Solver(Z3Ctx, z3::solver::simple());
       std::unordered_map<const Term *, z3::expr> Memo;
-      return solve(Z3Ctx, Solver, {F}, Memo);
+      return solve(Z3Ctx, Solver, {F}, Memo, [&Z3Ctx] { Z3Ctx.interrupt(); });
     } catch (const z3::exception &) {
       return CheckResult(); // Unknown — an interrupted solve may throw
     }
@@ -137,8 +222,10 @@ public:
   CheckResult checkSatAssuming(
       const std::vector<const Term *> &Assumptions) override {
     ++Queries;
-    if (cancelled())
+    if (cancelled()) {
+      keepFromPool(); // an Unknown answer, even one that never ran
       return CheckResult();
+    }
     Session *S = session();
     if (!S)
       return CheckResult();
@@ -149,8 +236,12 @@ public:
   checkSatBatch(const std::vector<const Term *> &Fs) override {
     Queries.fetch_add(Fs.size(), std::memory_order_relaxed);
     std::vector<CheckResult> Answers(Fs.size());
-    if (Fs.empty() || cancelled())
+    if (Fs.empty())
       return Answers;
+    if (cancelled()) {
+      keepFromPool();
+      return Answers;
+    }
     Session *S = session();
     if (!S)
       return Answers; // all Unknown — fail closed
@@ -162,8 +253,7 @@ public:
     }
     try {
       applyDeadline(S->Solver);
-      support::ScopedInterrupt Guard(Cancel,
-                                     [S] { S->Ctx.interrupt(); });
+      support::ScopedInterrupt Guard(Cancel, [S] { S->interrupt(); });
       // Guard every formula with a fresh assumption literal p_i and assert
       // p_i => F_i once; all subsequent check(assumptions) calls reuse the
       // internalized formulas without re-asserting anything.
@@ -198,6 +288,7 @@ public:
           R.TheAnswer = Answer::Unsat;
           break;
         case z3::unknown:
+          S->Lease.retire();
           break;
         case z3::sat:
           extractModel(R, S->Ctx, S->Solver.get_model(), {Fs[I]}, S->Memo);
@@ -217,6 +308,7 @@ public:
           break;
         }
         if (CR == z3::unknown) {
+          S->Lease.retire();
           for (size_t I : Remaining)
             Answers[I] = checkOne(I);
           break;
@@ -266,7 +358,8 @@ private:
   /// interned and never freed, so the translation memo stays valid for the
   /// backend's lifetime and shared subterms translate exactly once.
   struct Session {
-    z3::context Ctx;
+    PooledContext Lease; ///< declared first: outlives everything below
+    z3::context &Ctx;
     z3::solver Solver; ///< carries the push()/assertTerm() stack
     /// Answers checkSat() while the session lives; created on first use.
     /// Its stack is empty between checks, so every check is absolute.
@@ -274,7 +367,12 @@ private:
     std::unordered_map<const Term *, z3::expr> Memo;
     unsigned Depth = 0;      ///< open push() scopes
     uint64_t ProxyBatch = 0; ///< uniquifies batch assumption literals
-    Session() : Solver(Ctx, z3::solver::simple()) {}
+    Session() : Ctx(Lease.get()), Solver(Ctx, z3::solver::simple()) {}
+    /// The interrupt hook: an interrupted context never goes back.
+    void interrupt() {
+      Lease.retire();
+      Ctx.interrupt();
+    }
   };
 
   Session *session() {
@@ -293,22 +391,32 @@ private:
 
   /// After any z3 exception or cancelled check the session state is
   /// unreliable; retire it so every later session call fails closed. Plain
-  /// checkSat falls back to a context per query.
+  /// checkSat falls back to a context per query. A retired session's
+  /// context is freed, not pooled.
   void killSession() {
+    keepFromPool();
     TheSession.reset();
     SessionDead = true;
   }
 
+  /// Marks a live session's context to be freed, not pooled, when the
+  /// session ends.
+  void keepFromPool() {
+    if (TheSession)
+      TheSession->Lease.retire();
+  }
+
   /// Adds \p Fs to \p Solver's current scope and checks, reading a model
-  /// over the free variables of \p Fs on sat. An explicit cancel()
-  /// interrupts the context mid-solve; the deadline itself rides Z3's
-  /// native timeout watchdog (applyDeadline), which cannot perturb a check
-  /// that completes in time. Throws what Z3 throws.
+  /// over the free variables of \p Fs on sat. An explicit cancel() runs \p
+  /// OnCancel, which interrupts the context mid-solve; the deadline itself
+  /// rides Z3's native timeout watchdog (applyDeadline), which cannot
+  /// perturb a check that completes in time. Throws what Z3 throws.
   CheckResult solve(z3::context &Z, z3::solver &Solver,
                     const std::vector<const Term *> &Fs,
-                    std::unordered_map<const Term *, z3::expr> &Memo) {
+                    std::unordered_map<const Term *, z3::expr> &Memo,
+                    support::CancelToken::InterruptHook OnCancel) {
     applyDeadline(Solver);
-    support::ScopedInterrupt Guard(Cancel, [&Z] { Z.interrupt(); });
+    support::ScopedInterrupt Guard(Cancel, std::move(OnCancel));
     for (const Term *F : Fs)
       Solver.add(translate(Z, F, Memo));
     CheckResult Out;
@@ -337,16 +445,20 @@ private:
         S.Absolute.emplace(S.Ctx, z3::solver::simple());
       z3::solver &Solver = Absolute ? *S.Absolute : S.Solver;
       Solver.push();
-      Out = solve(S.Ctx, Solver, Fs, S.Memo);
+      Out = solve(S.Ctx, Solver, Fs, S.Memo, [&S] { S.interrupt(); });
       Solver.pop();
     } catch (const z3::exception &) {
       killSession();
       return CheckResult();
     }
     // Fail closed: a session whose check was cut short by cancellation is
-    // retired, not resumed — later sessions start from a clean context.
-    if (Out.TheAnswer == Answer::Unknown && cancelled())
-      killSession();
+    // retired, not resumed — later sessions start from a clean context. Any
+    // Unknown keeps the context out of the pool.
+    if (Out.TheAnswer == Answer::Unknown) {
+      S.Lease.retire();
+      if (cancelled())
+        killSession();
+    }
     return Out;
   }
 
@@ -543,5 +655,6 @@ std::unique_ptr<SmtSolver> createZ3Backend(TermContext &C) {
   return std::make_unique<Z3Backend>(C);
 }
 bool hasZ3() { return true; }
+size_t z3IdleContexts() { return ContextPool::get().idle(); }
 } // namespace solver
 } // namespace expresso

@@ -22,5 +22,6 @@ std::unique_ptr<SmtSolver> createZ3Backend(logic::TermContext &) {
   return nullptr;
 }
 bool hasZ3() { return false; }
+size_t z3IdleContexts() { return 0; }
 } // namespace solver
 } // namespace expresso

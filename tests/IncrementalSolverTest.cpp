@@ -13,7 +13,8 @@
 // keyed by anything other than its equivalent one-shot formula).
 //
 // Also covers the batched single-flight cache lookup underlying the
-// no-signal batches (lookupOrComputeBatch) directly.
+// no-signal batches (lookupOrComputeBatch) directly, and the Z3 backend's
+// pool of recycled session contexts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +29,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace expresso;
@@ -501,6 +506,157 @@ TEST(SolverSessionTest, Z3AbsoluteCheckIgnoresSessionStack) {
   EXPECT_EQ(Z3->checkSat(Pos).TheAnswer, Answer::Sat);
   EXPECT_EQ(Z3->checkSat(C.and_(Pos, C.lt(X, C.getOne()))).TheAnswer,
             Answer::Unsat);
+}
+
+//===----------------------------------------------------------------------===//
+// Recycled Z3 session contexts
+//===----------------------------------------------------------------------===//
+
+/// A backend that opens a session (taking a context from the pool), checks
+/// x > 0 on it, and is destroyed (handing the context back unless retired).
+void healthySessionCycle() {
+  TermContext C;
+  std::unique_ptr<SmtSolver> Z3 = createSolver(SolverKind::Z3, C);
+  const Term *X = C.var("px", Sort::Int);
+  EXPECT_EQ(Z3->checkSatAssuming({C.lt(C.getZero(), X)}).TheAnswer,
+            Answer::Sat);
+}
+
+// A recycled context carries nothing of its last session over: not the
+// open scope asserting false, and not the sort its last owner gave x.
+TEST(Z3ContextPoolTest, ReusedContextForgetsPreviousSession) {
+  if (!hasZ3())
+    GTEST_SKIP() << "Z3 backend not built";
+  {
+    TermContext C1;
+    std::unique_ptr<SmtSolver> First = createSolver(SolverKind::Z3, C1);
+    const Term *X = C1.var("x", Sort::Int);
+    ASSERT_TRUE(First->push());
+    ASSERT_TRUE(First->assertTerm(C1.getFalse()));
+    EXPECT_EQ(First->checkSatAssuming({C1.lt(C1.getZero(), X)}).TheAnswer,
+              Answer::Unsat);
+    // Destroyed with the scope still open.
+  }
+  const size_t Idle = z3IdleContexts();
+  ASSERT_GE(Idle, 1u) << "a healthy session must return its context";
+
+  TermContext C2;
+  std::unique_ptr<SmtSolver> Second = createSolver(SolverKind::Z3, C2);
+  const Term *X = C2.var("x", Sort::Bool);
+  CheckResult R = Second->checkSatAssuming({X});
+  EXPECT_EQ(z3IdleContexts(), Idle - 1) << "the session took a pooled context";
+  EXPECT_EQ(R.TheAnswer, Answer::Sat);
+  ASSERT_TRUE(R.Model.count("x"));
+  EXPECT_TRUE(R.Model.at("x").asBool());
+  EXPECT_EQ(Second->checkSatAssuming({C2.and_(X, C2.not_(X))}).TheAnswer,
+            Answer::Unsat);
+  EXPECT_EQ(Second->checkSat(C2.not_(X)).TheAnswer, Answer::Sat);
+  EXPECT_EQ(Second->checkSat(C2.and_(X, C2.not_(X))).TheAnswer,
+            Answer::Unsat);
+}
+
+/// The pigeonhole principle for \p N pigeons in N - 1 holes: unsat, and
+/// exponentially hard for resolution, so no check of it ends before the
+/// test cancels it.
+const Term *pigeonhole(TermContext &C, unsigned N) {
+  auto At = [&](unsigned P, unsigned H) {
+    return C.var("php" + std::to_string(P) + "_" + std::to_string(H),
+                 Sort::Bool);
+  };
+  std::vector<const Term *> Cs;
+  for (unsigned P = 0; P < N; ++P) {
+    std::vector<const Term *> Somewhere;
+    for (unsigned H = 0; H + 1 < N; ++H)
+      Somewhere.push_back(At(P, H));
+    Cs.push_back(C.or_(Somewhere));
+  }
+  for (unsigned H = 0; H + 1 < N; ++H)
+    for (unsigned P = 0; P < N; ++P)
+      for (unsigned Q = P + 1; Q < N; ++Q)
+        Cs.push_back(C.or_(C.not_(At(P, H)), C.not_(At(Q, H))));
+  return C.and_(Cs);
+}
+
+// Retired sessions free their contexts instead of pooling them: after an
+// already-cancelled check, and after a check interrupted into Unknown.
+TEST(Z3ContextPoolTest, RetiredSessionsDoNotReturnContexts) {
+  if (!hasZ3())
+    GTEST_SKIP() << "Z3 backend not built";
+  healthySessionCycle(); // at least one context idle from here on
+  size_t Idle = z3IdleContexts();
+  ASSERT_GE(Idle, 1u);
+  {
+    TermContext C;
+    std::unique_ptr<SmtSolver> Z3 = createSolver(SolverKind::Z3, C);
+    ASSERT_TRUE(Z3->push()); // opens the session: one context borrowed
+    EXPECT_EQ(z3IdleContexts(), Idle - 1);
+    support::CancelToken Token;
+    Token.cancel();
+    Z3->setCancelToken(&Token);
+    EXPECT_EQ(Z3->checkSat(C.var("cx", Sort::Bool)).TheAnswer,
+              Answer::Unknown);
+    Z3->setCancelToken(nullptr);
+  }
+  EXPECT_EQ(z3IdleContexts(), Idle - 1) << "cancelled session was pooled";
+
+  healthySessionCycle();
+  Idle = z3IdleContexts();
+  ASSERT_GE(Idle, 1u);
+  {
+    TermContext C;
+    std::unique_ptr<SmtSolver> Z3 = createSolver(SolverKind::Z3, C);
+    const Term *Hard = pigeonhole(C, 12);
+    support::CancelToken Token;
+    Z3->setCancelToken(&Token);
+    // Cancelled mid-check: the interrupt hook stops Z3, which answers
+    // Unknown. (A deadline would arm Z3's timeout watchdog instead, whose
+    // timer thread outlives the test.)
+    std::thread Canceller([&Token] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      Token.cancel();
+    });
+    EXPECT_EQ(Z3->checkSatAssuming({Hard}).TheAnswer, Answer::Unknown);
+    Canceller.join();
+    Z3->setCancelToken(nullptr);
+  }
+  EXPECT_EQ(z3IdleContexts(), Idle - 1) << "interrupted session was pooled";
+}
+
+// Many threads cycling backends share the pool without losing an answer,
+// and the pool never holds more idle contexts than there are cores.
+TEST(Z3ContextPoolTest, ConcurrentCyclesStayCorrectAndCapped) {
+  if (!hasZ3())
+    GTEST_SKIP() << "Z3 backend not built";
+  constexpr unsigned Threads = 8;
+  constexpr unsigned Cycles = 100;
+  const size_t Cap = std::max(1u, std::thread::hardware_concurrency());
+  std::atomic<unsigned> Wrong{0}, OverCap{0};
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned I = 0; I < Cycles; ++I) {
+        TermContext C;
+        std::unique_ptr<SmtSolver> Z3 = createSolver(SolverKind::Z3, C);
+        // Alternate the variable's sort so consecutive owners of one
+        // context disagree about it.
+        const Term *X = C.var("x", (T + I) % 2 ? Sort::Int : Sort::Bool);
+        const Term *Sat = X->sort() == Sort::Int
+                              ? C.eq(X, C.intConst(T * Cycles + I))
+                              : X;
+        const Term *Unsat = X->sort() == Sort::Int
+                                ? C.and_(Sat, C.lt(X, C.getZero()))
+                                : C.and_(X, C.not_(X));
+        Wrong += Z3->checkSatAssuming({Sat}).TheAnswer != Answer::Sat;
+        Wrong += Z3->checkSatAssuming({Unsat}).TheAnswer != Answer::Unsat;
+        Z3.reset();
+        OverCap += z3IdleContexts() > Cap;
+      }
+    });
+  for (auto &Th : Pool)
+    Th.join();
+  EXPECT_EQ(Wrong.load(), 0u);
+  EXPECT_EQ(OverCap.load(), 0u);
+  EXPECT_LE(z3IdleContexts(), Cap);
 }
 
 } // namespace

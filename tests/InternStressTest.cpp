@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <set>
 #include <thread>
@@ -259,4 +260,54 @@ TEST(InternStressTest, GrowthUnderMissPressure) {
       int64_t K = static_cast<int64_t>(T) * PerThread + I;
       EXPECT_EQ(C.le(X, C.intConst(K)), Out[T][I]);
     }
+}
+
+// Threads that miss on one key at the same moment race to publish it: one
+// wins the bucket CAS and the rest must return the winner. Every thread
+// interns the same keys in the same order, released together each round
+// into a fresh context, so most keys are first-published under contention.
+// A loser that compared the winner against its own already-moved-out
+// operands would publish a second node for the key.
+TEST(InternStressTest, LockstepMissesReturnOneNode) {
+  constexpr unsigned Threads = 4;
+  constexpr unsigned Keys = 2000;
+  constexpr unsigned Rounds = 200;
+
+  std::unique_ptr<TermContext> C;
+  std::vector<const Term *> Vars;
+  std::vector<std::vector<const Term *>> Got(Threads);
+  // Completion runs on one thread between phases: it opens the next round's
+  // context before the threads start and retires it once they are done.
+  unsigned Round = 0, Phase = 0, Mismatches = 0;
+  auto Step = [&]() noexcept {
+    if (Phase++ % 2 == 0) {
+      C = std::make_unique<TermContext>();
+      Vars.clear();
+      for (unsigned V = 0; V < 4; ++V)
+        Vars.push_back(C->var("v" + std::to_string(V), Sort::Int));
+      return;
+    }
+    for (unsigned T = 1; T < Threads; ++T)
+      for (unsigned I = 0; I < Keys; ++I)
+        Mismatches += Got[T][I] != Got[0][I];
+    ++Round;
+  };
+  std::barrier Sync(Threads, Step);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned R = 0; R < Rounds; ++R) {
+        Sync.arrive_and_wait(); // the round's context is ready
+        auto &Out = Got[T];
+        Out.clear();
+        for (unsigned I = 0; I < Keys; ++I)
+          Out.push_back(C->le(Vars[I % Vars.size()], C->intConst(I)));
+        Sync.arrive_and_wait(); // every thread done: compare
+      }
+    });
+  for (auto &Th : Pool)
+    Th.join();
+  EXPECT_EQ(Round, Rounds);
+  EXPECT_EQ(Mismatches, 0u)
+      << "lookups that returned a second node for an already-published key";
 }
