@@ -18,6 +18,11 @@
 
 #include "analysis/Wp.h"
 #include "solver/SmtSolver.h"
+#include "solver/SolverFactory.h"
+#include "solver/SolverSession.h"
+
+#include <memory>
+#include <vector>
 
 namespace expresso {
 namespace analysis {
@@ -61,6 +66,26 @@ private:
   solver::SmtSolver &Solver;
   uint64_t Checks = 0;
 };
+
+/// One fan-out worker of placement or invariant inference: a backend, a
+/// solver::SolverSession over it, and a Hoare checker on the session's
+/// absolute view. Declaration order matters: Session borrows Backend and
+/// Checker borrows Session.
+struct DischargeWorker {
+  std::unique_ptr<solver::SmtSolver> Backend; ///< null when borrowed
+  std::unique_ptr<solver::SolverSession> Session;
+  std::unique_ptr<HoareChecker> Checker;
+};
+
+/// Opens \p Jobs workers over private backends minted by
+/// solver::mintWorkerBackends from \p Factory, each holding \p Cancel and
+/// sharing \p Cache (may be null). Empty — callers must then stay serial —
+/// when the backends cannot be minted.
+std::vector<DischargeWorker>
+openDischargeWorkers(logic::TermContext &C, const frontend::SemaInfo &Sema,
+                     const solver::SolverFactory &Factory,
+                     solver::CachingSolver *Cache, unsigned Jobs,
+                     bool Incremental, support::CancelToken *Cancel);
 
 } // namespace analysis
 } // namespace expresso

@@ -15,7 +15,6 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
-#include <functional>
 #include <memory>
 #include <set>
 
@@ -54,21 +53,6 @@ std::vector<const Term *> abducibles(const SemaInfo &Sema) {
   return Result;
 }
 
-/// Per-worker state for the fixpoint fan-out: a private solver handle (a
-/// session of the shared memo table when the caller's solver is a
-/// CachingSolver, a raw backend otherwise) and its own Hoare checker. In
-/// incremental mode the worker owns a raw backend plus a SolverSession over
-/// it (with nothing ever asserted — the fixpoint's queries share no fixed
-/// prefix across rounds, so the lever is context reuse, not assertion
-/// sharing). Declaration order matters: Session borrows RawBackend and
-/// Checker borrows Session's absolute view.
-struct FixpointWorker {
-  std::unique_ptr<solver::SmtSolver> Solver;
-  std::unique_ptr<solver::SmtSolver> RawBackend;
-  std::unique_ptr<solver::SolverSession> Session;
-  std::unique_ptr<HoareChecker> Checker;
-};
-
 } // namespace
 
 bool analysis::isMonitorInvariant(logic::TermContext &C, const SemaInfo &Sema,
@@ -99,24 +83,16 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
   InvariantResult Result;
   auto *SharedCache = dynamic_cast<solver::CachingSolver *>(&Solver);
 
-  // Incremental mode: route every serial-path query (abduction consistency,
-  // initiation, serial fixpoint rounds, minimization) through one long-lived
-  // solver session with an empty assertion stack. Answers and counters are
-  // identical to the per-query-context path; only the discharge mechanism
-  // changes (see SolverSession::checkSatAbsolute).
-  std::unique_ptr<solver::SolverSession> SerialSession;
-  solver::SmtSolver *Discharge = &Solver;
-  if (Cfg.Incremental) {
-    solver::SmtSolver &Underlying =
-        SharedCache ? SharedCache->backend() : Solver;
-    if (Underlying.supportsIncremental()) {
-      SerialSession =
-          std::make_unique<solver::SolverSession>(SharedCache, Underlying);
-      Discharge = &SerialSession->absoluteSolver();
-    }
-  }
+  // Every serial-path query (abduction consistency, initiation, serial
+  // fixpoint rounds, minimization) goes through one long-lived solver
+  // session with an empty assertion stack; Cfg.Incremental only selects how
+  // it reaches the backend (see SolverSession::checkSatAbsolute).
+  solver::SolverSession SerialSession(
+      SharedCache, SharedCache ? SharedCache->backend() : Solver,
+      Cfg.Incremental);
+  solver::SmtSolver &Discharge = SerialSession.absoluteSolver();
 
-  HoareChecker Checker(C, Sema, *Discharge);
+  HoareChecker Checker(C, Sema, Discharge);
   WpEngine &Wp = Checker.wpEngine();
   std::vector<const Term *> Vocab = abducibles(Sema);
   WallTimer PhaseTimer;
@@ -165,7 +141,7 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
       continue; // already provable without an invariant
     ++Queries;
     for (const Term *Psi :
-         abduce(C, *Discharge, Pre, Goal, Vocab, AbdCfg)) {
+         abduce(C, Discharge, Pre, Goal, Vocab, AbdCfg)) {
       if (Universe.size() >= Cfg.MaxCandidates)
         break;
       Universe.insert(Psi);
@@ -188,77 +164,26 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
   unsigned Jobs = Cfg.Jobs;
   if (Jobs > Universe.size())
     Jobs = static_cast<unsigned>(Universe.size());
-  std::vector<FixpointWorker> Workers;
-  bool SessionWorkers = false;
-  if (Cfg.Incremental && Cfg.WorkerSolvers && Jobs > 1) {
-    // Worker sessions mirror the serial path: raw per-worker backends, one
-    // empty-stack session each, shared memo on the lookup path. A minted
-    // set whose backends lack session support is reused as plain one-shot
-    // handles below, never discarded.
-    std::vector<std::unique_ptr<solver::SmtSolver>> Raw =
-        solver::mintWorkerBackends(C, Cfg.WorkerSolvers, Jobs);
-    if (!Raw.empty()) {
-      SessionWorkers = Raw.front()->supportsIncremental();
-      Workers.resize(Jobs);
-      for (unsigned J = 0; J < Jobs; ++J) {
-        if (SessionWorkers) {
-          Workers[J].RawBackend = std::move(Raw[J]);
-          Workers[J].Session = std::make_unique<solver::SolverSession>(
-              SharedCache, *Workers[J].RawBackend);
-          Workers[J].Checker = std::make_unique<HoareChecker>(
-              C, Sema, Workers[J].Session->absoluteSolver());
-        } else {
-          Workers[J].Solver = SharedCache
-                                  ? SharedCache->makeSession(std::move(Raw[J]))
-                                  : std::move(Raw[J]);
-          Workers[J].Checker =
-              std::make_unique<HoareChecker>(C, Sema, *Workers[J].Solver);
-        }
-      }
-    }
-  }
-  if (Workers.empty()) {
-    std::vector<std::unique_ptr<solver::SmtSolver>> Handles =
-        solver::makeWorkerSolvers(C, Cfg.WorkerSolvers, SharedCache, Jobs);
-    Workers.resize(Handles.size());
-    for (size_t J = 0; J < Handles.size(); ++J) {
-      Workers[J].Solver = std::move(Handles[J]);
-      Workers[J].Checker =
-          std::make_unique<HoareChecker>(C, Sema, *Workers[J].Solver);
-    }
-  }
-  if (Cfg.Cancel)
-    for (FixpointWorker &W : Workers) {
-      if (W.RawBackend)
-        W.RawBackend->setCancelToken(Cfg.Cancel);
-      if (W.Solver)
-        W.Solver->setCancelToken(Cfg.Cancel);
-    }
-  std::unique_ptr<support::ThreadPool> Pool;
-  if (!Workers.empty())
-    Pool = std::make_unique<support::ThreadPool>(
-        static_cast<unsigned>(Workers.size()));
+  // Workers issue only absolute queries: the fixpoint's queries share no
+  // fixed prefix across rounds, so the session lever is context reuse.
+  std::vector<DischargeWorker> Workers;
+  if (Jobs > 1)
+    Workers = openDischargeWorkers(C, Sema, Cfg.WorkerSolvers, SharedCache,
+                                   Jobs, Cfg.Incremental, Cfg.Cancel);
+  // A pool without threads runs every batch inline, in order.
+  support::ThreadPool Pool(static_cast<unsigned>(Workers.size()));
 
-  // A per-ψ checker: worker-private when fanned out, the caller's when serial.
+  // A per-ψ checker: worker-private when fanned out, the serial one else.
   auto checkerFor = [&](unsigned WorkerId) -> HoareChecker & {
-    return Pool ? *Workers[WorkerId].Checker : Checker;
+    return Workers.empty() ? Checker : *Workers[WorkerId].Checker;
   };
-  auto forEachCandidate =
-      [&](size_t Count, const std::function<void(unsigned, size_t)> &Body) {
-        if (Pool) {
-          Pool->parallelFor(Count, Body);
-        } else {
-          for (size_t I = 0; I < Count; ++I)
-            Body(0, I);
-        }
-      };
 
   // Initiation is independent of Φ: filter once.
   obs::Span InitSpan(Cfg.Trace, "invariant.initiation");
   const Term *Req = requiresTerm(C, Sema);
   std::vector<const Term *> UniverseVec(Universe.begin(), Universe.end());
   std::vector<char> Keep(UniverseVec.size(), 0);
-  forEachCandidate(UniverseVec.size(), [&](unsigned WorkerId, size_t Idx) {
+  Pool.parallelFor(UniverseVec.size(), [&](unsigned WorkerId, size_t Idx) {
     if (Expired())
       return; // drop the candidate — conservative, and the run is doomed
     HoareChecker &Chk = checkerFor(WorkerId);
@@ -282,7 +207,7 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
     RoundSpan.arg("candidates", static_cast<uint64_t>(Phi.size()));
     const Term *I = C.and_(Phi);
     Keep.assign(Phi.size(), 0);
-    forEachCandidate(Phi.size(), [&](unsigned WorkerId, size_t Idx) {
+    Pool.parallelFor(Phi.size(), [&](unsigned WorkerId, size_t Idx) {
       if (Expired())
         return; // conservative drop, as in the initiation filter
       HoareChecker &Chk = checkerFor(WorkerId);
@@ -313,9 +238,8 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
   // Private-backend queries the caller's solver never saw (cache-off runs;
   // with a shared cache, sessions count centrally on the caller's solver).
   if (!SharedCache)
-    for (const FixpointWorker &W : Workers)
-      Result.WorkerQueries += SessionWorkers ? W.Session->numQueries()
-                                             : W.Solver->numQueries();
+    for (const DischargeWorker &W : Workers)
+      Result.WorkerQueries += W.Session->numQueries();
 
   // Minimize: greedily drop predicates implied by the remaining ones. This
   // keeps the invariant presentable (e.g. plain `readers >= 0` for the
@@ -329,7 +253,7 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
       if (K != I)
         Others.push_back(Phi[K]);
     const Term *Rest = C.and_(Others);
-    if (Discharge->isValid(C.implies(Rest, Phi[I]))) {
+    if (Discharge.isValid(C.implies(Rest, Phi[I]))) {
       Phi.erase(Phi.begin() + static_cast<long>(I));
       continue;
     }

@@ -51,12 +51,12 @@ struct InvariantConfig {
   unsigned Jobs = 0;
   /// Per-worker backend recipe; required for Jobs > 1 (else serial).
   solver::SolverFactory WorkerSolvers;
-  /// Discharge abduction/fixpoint queries through a long-lived solver
-  /// session (empty assertion stack — pure context/translation reuse on
-  /// native backends) instead of one solver context per query. Answers and
-  /// all cache counters are identical either way; placeSignals overrides
-  /// this with PlacementOptions::Incremental so one flag governs the whole
-  /// analysis.
+  /// The discharge mode of the solver sessions inference runs on (empty
+  /// assertion stack either way): on, a natively incremental backend reuses
+  /// one context and translation memo across queries; off, every query gets
+  /// a context of its own. Answers and all cache counters are identical
+  /// either way; placeSignals overrides this with
+  /// PlacementOptions::Incremental so one flag governs the whole analysis.
   bool Incremental = true;
   /// Cooperative cancellation: polled at candidate/round boundaries in both
   /// phases (and forwarded into abduction and the worker backends). An

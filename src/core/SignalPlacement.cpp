@@ -3,29 +3,25 @@
 // Part of expresso-cpp, a reproduction of "Symbolic Reasoning for Automatic
 // Signal Placement" (PLDI 2018).
 //
-// The (w, p) main loop of Algorithm 1 runs either serially or fanned out
-// across a support::ThreadPool: every pair's checks — skip (a),
-// unconditional (b), and the per-w' signal/broadcast obligations (c) — read
-// only shared-immutable state (invariant, sema, blocked-predicate
-// instances) plus a once-computed Comm(w, M) memo, so pairs are independent
-// validity workloads. Workers own private solver backends and share one
-// sharded CachingSolver memo table; outcomes land in a slot array indexed
-// by (CCR index, class index) and are merged in that order, so the parallel
-// Σ is bit-for-bit the serial Σ.
+// The (w, p) main loop of Algorithm 1 takes one CCR per work item: every
+// pair's checks — skip (a), unconditional (b), and the per-w'
+// signal/broadcast obligations (c) — read only shared-immutable state
+// (invariant, sema, blocked-predicate instances) plus a once-computed
+// Comm(w, M) memo, so CCRs are independent validity workloads. Each worker discharges its CCRs
+// through its own solver::SolverSession: the serial worker over the caller's
+// backend, --jobs workers over private backends minted from
+// PlacementOptions::WorkerSolvers, all sharing one sharded CachingSolver
+// memo table. Outcomes land in a slot array indexed by (CCR index, class
+// index) and are merged in that order, so the parallel Σ is bit-for-bit the
+// serial Σ.
 //
-// Two discharge modes fill the same outcome slots:
-//
-//  * one-shot (--incremental=off): every VC is a fresh absolute checkSat —
-//    the paper-style baseline, fanned out pair by pair;
-//  * incremental sessions (default): each (CCR, worker) pair opens a
-//    solver::SolverSession that asserts the invariant once per worker and
-//    the CCR guard once per CCR, discharges the per-class VCs as push/pop
-//    deltas, and batches the CCR's independent no-signal checks into one
-//    assumption-guarded solver call. The fan-out unit becomes the CCR (so a
-//    session's prefix lives exactly as long as its CCR's checks), but the
-//    *logical* query sequence — which VCs are issued, with which terms,
-//    under which early-exit conditions — is identical to one-shot mode, so
-//    Σ, stats, and all cache counters match it byte for byte.
+// Within a CCR the session asserts the invariant once per worker and the
+// CCR guard once per CCR, batches the CCR's independent no-signal checks
+// into one call, and discharges (b)/(c) as deltas. The --incremental mode
+// only selects how the session talks to its backend (native push/pop
+// deltas, or one absolute checkSat per VC — the paper-style baseline); the
+// logical query sequence is the same, so Σ, stats, and all cache counters
+// match across modes byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
@@ -178,82 +174,6 @@ logic::Substitution wokenRename(PairEnv &Env, const CcrInfo &Woken) {
   return Rename;
 }
 
-/// Checks one (w, p) pair of Algorithm 1's main loop. Reads only
-/// shared-immutable state from \p Env (plus the once-semantics Comm memo),
-/// so concurrent calls on distinct pairs are safe as long as each worker
-/// brings its own \p Checker and \p Solver.
-PairOutcome checkPair(PairEnv &Env, const CcrInfo &W,
-                      const PredicateClass *Q, HoareChecker &Checker,
-                      solver::SmtSolver &Solver) {
-  logic::TermContext &C = Env.C;
-  const Term *I = Env.I;
-  const Term *P = Env.BlockedPred.at(Q);
-  PairOutcome Out;
-
-  // (a) No-signal check: {I ∧ Guard(w) ∧ ¬p'} Body(w) {¬p'}.
-  HoareTriple NoSig;
-  NoSig.Pre = C.and_({I, W.Guard, C.not_(P)});
-  NoSig.Body = W.W->Body;
-  NoSig.InMethod = W.Parent;
-  NoSig.Post = C.not_(P);
-  ++Out.HoareChecks;
-  if (Checker.proves(NoSig)) {
-    ++Out.NoSignalProved;
-    return Out;
-  }
-
-  Out.Emit = true;
-  Out.D.Target = Q;
-
-  // (b) Unconditional check: {I ∧ Guard(w) ∧ ¬p'} Body(w) {p'}.
-  HoareTriple Uncond = NoSig;
-  Uncond.Post = P;
-  ++Out.HoareChecks;
-  Out.D.Conditional = !Checker.proves(Uncond);
-
-  // (c) Signal-vs-broadcast: every CCR guarded by p must falsify p when
-  // it runs — or commute, with the §4.3 sequential-composition check.
-  WpEngine &Wp = Checker.wpEngine();
-  bool SingleSuffices = true;
-  for (const CcrInfo &Woken : Env.Sema.Ccrs) {
-    if (Woken.Class != Q)
-      continue;
-    HoareTriple OneWake;
-    OneWake.Pre = C.and_({I, Woken.Guard, P});
-    OneWake.Body = Woken.W->Body;
-    OneWake.InMethod = Woken.Parent;
-    OneWake.Post = C.not_(P);
-    ++Out.HoareChecks;
-    if (Checker.proves(OneWake))
-      continue;
-    // §4.3: Comm(w', M) ∧ {I ∧ Guard(w) ∧ ¬p'} Body(w); Body(w') {¬p'}.
-    bool Saved = false;
-    if (Env.Options.UseCommutativity && Env.commutes(Woken, Solver)) {
-      logic::Substitution Rename = wokenRename(Env, Woken);
-      const Term *Inner =
-          Wp.wp(Woken.W->Body, Woken.Parent, C.not_(P), &Rename);
-      const Term *Outer = Wp.wp(W.W->Body, W.Parent, Inner);
-      const Term *VC = logic::simplify(
-          C, C.implies(C.and_({I, W.Guard, C.not_(P)}), Outer));
-      ++Out.HoareChecks;
-      if (Solver.isValid(VC)) {
-        Saved = true;
-        ++Out.CommutativityWins;
-      }
-    }
-    if (!Saved) {
-      SingleSuffices = false;
-      break;
-    }
-  }
-  Out.D.Broadcast = !SingleSuffices;
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Incremental-session discharge (Options.Incremental)
-//===----------------------------------------------------------------------===//
-
 /// Scoped analogue of HoareChecker::proves: the same verification condition
 /// and the same trivial-formula shortcuts, but the solver query goes through
 /// the session at the given scope. Soundness: the negated VC of a triple
@@ -277,9 +197,8 @@ bool provesScoped(logic::TermContext &C, HoareChecker &Checker,
 }
 
 /// Checks (b) and (c) for one (w, p) pair through the session — the pair's
-/// no-signal check (a) already failed. Mirrors checkPair's logic and query
-/// order exactly; only the discharge mechanism differs.
-void completePairIncremental(PairEnv &Env, const CcrInfo &W,
+/// no-signal check (a) already failed.
+void completePair(PairEnv &Env, const CcrInfo &W,
                              const PredicateClass *Q, HoareChecker &Checker,
                              solver::SolverSession &S, PairOutcome &Out) {
   logic::TermContext &C = Env.C;
@@ -322,8 +241,7 @@ void completePairIncremental(PairEnv &Env, const CcrInfo &W,
       const Term *VC = logic::simplify(
           C, C.implies(C.and_({I, W.Guard, C.not_(P)}), Outer));
       ++Out.HoareChecks;
-      // One-shot mode issues this query unconditionally (no trivial-VC
-      // shortcut in checkPair's §4.3 branch); so does the session.
+      // Issued unconditionally: the §4.3 check has no trivial-VC shortcut.
       if (S.checkSatUnderGuard(C.not_(VC)).TheAnswer ==
           solver::Answer::Unsat) {
         Saved = true;
@@ -338,11 +256,10 @@ void completePairIncremental(PairEnv &Env, const CcrInfo &W,
   Out.D.Broadcast = !SingleSuffices;
 }
 
-/// Runs every predicate class of one CCR through an incremental session:
-/// guard scope entered once, the classes' no-signal VCs batched into one
-/// assumption-guarded check, then (b)/(c) as push/pop deltas per failing
-/// class. Writes the CCR's NumClasses outcome slots.
-void checkCcrIncremental(PairEnv &Env, const CcrInfo &W,
+/// Runs every predicate class of one CCR through a session: guard scope
+/// entered once, the classes' no-signal VCs batched into one check, then
+/// (b)/(c) per failing class. Writes the CCR's NumClasses outcome slots.
+void checkCcr(PairEnv &Env, const CcrInfo &W,
                          HoareChecker &Checker, solver::SolverSession &S,
                          PairOutcome *Slots) {
   logic::TermContext &C = Env.C;
@@ -351,9 +268,8 @@ void checkCcrIncremental(PairEnv &Env, const CcrInfo &W,
   S.setInvariant(I);
   S.enterCcr(W.Guard);
 
-  // (a) No-signal checks, all classes of this CCR, batched. Each is issued
-  // unconditionally in one-shot mode too, so batching changes the solver
-  // call shape but never the query multiset.
+  // (a) No-signal checks, all classes of this CCR, batched. Batching
+  // changes the solver call shape but never the query multiset.
   std::vector<const Term *> Batch;
   std::vector<size_t> BatchIdx;
   std::vector<signed char> AProved(NumClasses, 0);
@@ -389,24 +305,10 @@ void checkCcrIncremental(PairEnv &Env, const CcrInfo &W,
       ++Slots[Qi].NoSignalProved;
       continue;
     }
-    completePairIncremental(Env, W, Env.Sema.Classes[Qi].get(), Checker, S,
-                            Slots[Qi]);
+    completePair(Env, W, Env.Sema.Classes[Qi].get(), Checker, S, Slots[Qi]);
   }
   S.exitCcr();
 }
-
-/// Per-worker state for the parallel fan-out: a private solver handle (a
-/// session of the shared memo table, or a raw backend when caching is off)
-/// and its own Hoare checker. In incremental mode the worker instead owns a
-/// raw backend plus a SolverSession over it (declaration order matters:
-/// Session borrows RawBackend, Checker borrows Session's absolute view).
-struct PlacementWorker {
-  std::unique_ptr<solver::SmtSolver> Solver;
-  std::unique_ptr<solver::SmtSolver> RawBackend;
-  std::unique_ptr<solver::SolverSession> Session;
-  std::unique_ptr<HoareChecker> Checker;
-  WorkerStats Stats;
-};
 
 } // namespace
 
@@ -484,6 +386,7 @@ PlacementResult core::placeSignals(logic::TermContext &C,
     InvariantResult IR = inferMonitorInvariant(C, Sema, Solver, InvCfg);
     Result.Invariant = IR.Invariant;
     InvariantWorkerQueries = IR.WorkerQueries;
+    Result.CancelledInInference = Options.Cancel && Options.Cancel->expired();
   } else {
     Result.Invariant = C.getTrue();
   }
@@ -495,161 +398,70 @@ PlacementResult core::placeSignals(logic::TermContext &C,
   Env.I = Result.Invariant;
 
   // --- Main loop: (w, p) in CCRs(M) x Guards(M). ---------------------------
-  // One slot per pair; flat index = CcrIdx * NumClasses + ClassIdx. Both the
-  // serial loop and the parallel fan-out fill the same slots, and the merge
-  // below walks them in order — that ordering, not completion order, is
-  // what makes parallel Σ deterministic.
+  // One slot per pair; flat index = CcrIdx * NumClasses + ClassIdx. The
+  // merge below walks them in order — that ordering, not completion order,
+  // is what makes parallel Σ deterministic.
   const size_t NumClasses = Sema.Classes.size();
   const size_t NumPairs = Sema.Ccrs.size() * NumClasses;
   std::vector<PairOutcome> Outcomes(NumPairs);
 
+  // The fan-out unit is the CCR (one session guard scope per task), so more
+  // workers than CCRs would only mint idle backends.
   unsigned Jobs = Options.Jobs;
-  if (Jobs > NumPairs)
-    Jobs = static_cast<unsigned>(NumPairs);
+  if (Jobs > Sema.Ccrs.size())
+    Jobs = static_cast<unsigned>(Sema.Ccrs.size());
 
-  // Incremental sessions engage when requested and the backend that would
-  // discharge the queries speaks the session API. The discharge answers are
-  // identical either way; this only selects the mechanism.
+  // Serial runs discharge on the caller's backend (beneath the cache, so
+  // the session can drive it directly while the shared memo table stays on
+  // the lookup path); --jobs workers each own a minted private backend.
   solver::SmtSolver &Underlying =
       SharedCache ? SharedCache->backend() : BackendSolver;
-  const bool WantSessions = Options.Incremental;
-
-  std::vector<PlacementWorker> Workers;
-  bool ParSessions = false;
+  std::vector<DischargeWorker> Workers;
   if (Jobs > 1) {
-    if (WantSessions && Options.WorkerSolvers) {
-      // Session workers own *raw* backends (the session needs push/pop on
-      // the backend itself); the shared memo table stays on the path inside
-      // SolverSession, so counters remain centralized and deterministic.
-      std::vector<std::unique_ptr<solver::SmtSolver>> Raw =
-          solver::mintWorkerBackends(C, Options.WorkerSolvers, Jobs);
-      if (Raw.empty()) {
-        Jobs = 1; // factory cannot serve this context: stay serial
-      } else if (Raw.front()->supportsIncremental()) {
-        ParSessions = true;
-        Workers.resize(Jobs);
-        for (unsigned J = 0; J < Jobs; ++J) {
-          Workers[J].RawBackend = std::move(Raw[J]);
-          Workers[J].Session = std::make_unique<solver::SolverSession>(
-              SharedCache, *Workers[J].RawBackend);
-          Workers[J].Checker = std::make_unique<HoareChecker>(
-              C, Sema, Workers[J].Session->absoluteSolver());
-        }
-      } else {
-        // Backend without session support: one-shot worker handles.
-        Workers.resize(Jobs);
-        for (unsigned J = 0; J < Jobs; ++J) {
-          Workers[J].Solver =
-              SharedCache ? SharedCache->makeSession(std::move(Raw[J]))
-                          : std::move(Raw[J]);
-          Workers[J].Checker =
-              std::make_unique<HoareChecker>(C, Sema, *Workers[J].Solver);
-        }
-      }
-    } else {
-      std::vector<std::unique_ptr<solver::SmtSolver>> Handles =
-          solver::makeWorkerSolvers(C, Options.WorkerSolvers, SharedCache,
-                                    Jobs);
-      if (Handles.empty()) {
-        Jobs = 1; // no factory, or it cannot serve this context: stay serial
-      } else {
-        Workers.resize(Jobs);
-        for (unsigned J = 0; J < Jobs; ++J) {
-          Workers[J].Solver = std::move(Handles[J]);
-          Workers[J].Checker =
-              std::make_unique<HoareChecker>(C, Sema, *Workers[J].Solver);
-        }
-      }
-    }
+    Workers = openDischargeWorkers(C, Sema, Options.WorkerSolvers,
+                                   SharedCache, Jobs, Options.Incremental,
+                                   Options.Cancel);
+    if (Workers.empty())
+      Jobs = 1; // no factory, or it cannot serve this context: stay serial
   }
-  if (Options.Cancel)
-    for (PlacementWorker &W : Workers) {
-      if (W.RawBackend)
-        W.RawBackend->setCancelToken(Options.Cancel);
-      if (W.Solver)
-        W.Solver->setCancelToken(Options.Cancel);
-    }
+  if (Workers.empty()) {
+    Workers.resize(1);
+    Workers[0].Session = std::make_unique<solver::SolverSession>(
+        SharedCache, Underlying, Options.Incremental);
+    Workers[0].Checker = std::make_unique<HoareChecker>(
+        C, Sema, Workers[0].Session->absoluteSolver());
+  }
+  std::vector<WorkerStats> PerWorker(Workers.size());
   Result.Stats.JobsUsed = Jobs;
+  Result.Stats.IncrementalSessions =
+      Options.Incremental &&
+      (Workers[0].Backend ? *Workers[0].Backend : Underlying)
+          .supportsIncremental();
 
-  // Loop-boundary cancellation polls below break out at the next pair/CCR;
-  // mid-check expiry resolves through the backends' own polls (every
-  // remaining query answers Unknown near-instantly, the conservative
-  // direction), so the whole run winds down within ~one solver poll
-  // interval either way.
-  auto Expired = [&Options] {
-    return Options.Cancel && Options.Cancel->expired();
-  };
-
-  if (Jobs <= 1) {
-    if (WantSessions && Underlying.supportsIncremental()) {
-      Result.Stats.IncrementalSessions = true;
-      solver::SolverSession Sess(SharedCache, Underlying);
-      HoareChecker Checker(C, Sema, Sess.absoluteSolver());
-      for (size_t CcrIdx = 0; CcrIdx < Sema.Ccrs.size(); ++CcrIdx) {
-        if (Expired())
-          break; // partial; flagged Cancelled below
-        obs::Span CcrSpan(Options.Trace, "ccr");
-        CcrSpan.arg("ccr", static_cast<uint64_t>(CcrIdx));
-        checkCcrIncremental(Env, Sema.Ccrs[CcrIdx], Checker, Sess,
-                            &Outcomes[CcrIdx * NumClasses]);
-      }
-    } else {
-      HoareChecker Checker(C, Sema, Solver);
-      for (size_t Pair = 0; Pair < NumPairs; ++Pair) {
-        if (Expired())
-          break; // partial; flagged Cancelled below
-        obs::Span PairSpan(Options.Trace, "pair");
-        PairSpan.arg("ccr", static_cast<uint64_t>(Pair / NumClasses));
-        PairSpan.arg("class", static_cast<uint64_t>(Pair % NumClasses));
-        Outcomes[Pair] = checkPair(Env, Sema.Ccrs[Pair / NumClasses],
-                                   Sema.Classes[Pair % NumClasses].get(),
-                                   Checker, Solver);
-      }
+  // The loop-boundary cancellation poll skips the remaining CCRs; mid-check
+  // expiry resolves through the backends' own polls (every remaining query
+  // answers Unknown near-instantly, the conservative direction), so the
+  // whole run winds down within ~one solver poll interval either way.
+  // Slot-ordered merging keeps Σ byte-identical to serial whatever the
+  // schedule; a pool without threads runs the CCRs inline, in order.
+  support::ThreadPool Pool(Jobs > 1 ? Jobs : 0);
+  Pool.parallelFor(Sema.Ccrs.size(), [&](unsigned WorkerId, size_t CcrIdx) {
+    if (Options.Cancel && Options.Cancel->expired())
+      return; // leave the slots untouched; flagged Cancelled below
+    DischargeWorker &W = Workers[WorkerId];
+    WallTimer CcrTimer;
+    obs::Span CcrSpan(Options.Trace, "ccr");
+    CcrSpan.arg("ccr", static_cast<uint64_t>(CcrIdx));
+    checkCcr(Env, Sema.Ccrs[CcrIdx], *W.Checker, *W.Session,
+             &Outcomes[CcrIdx * NumClasses]);
+    PerWorker[WorkerId].BusySeconds += CcrTimer.elapsedSeconds();
+    PerWorker[WorkerId].Pairs += NumClasses;
+  });
+  if (Jobs > 1)
+    for (size_t J = 0; J < Workers.size(); ++J) {
+      PerWorker[J].SolverQueries = Workers[J].Session->numQueries();
+      Result.Stats.Workers.push_back(PerWorker[J]);
     }
-  } else if (ParSessions) {
-    // Session fan-out is CCR-granular: one task = one CCR = one session
-    // scope, so the guard prefix is asserted once per (CCR, worker) and the
-    // no-signal batch spans the whole CCR. Slot-ordered merging keeps Σ
-    // byte-identical to serial whatever the schedule.
-    Result.Stats.IncrementalSessions = true;
-    support::ThreadPool Pool(Jobs);
-    Pool.parallelFor(Sema.Ccrs.size(), [&](unsigned WorkerId, size_t CcrIdx) {
-      if (Expired())
-        return; // leave the slots untouched; flagged Cancelled below
-      PlacementWorker &W = Workers[WorkerId];
-      WallTimer CcrTimer;
-      obs::Span CcrSpan(Options.Trace, "ccr");
-      CcrSpan.arg("ccr", static_cast<uint64_t>(CcrIdx));
-      checkCcrIncremental(Env, Sema.Ccrs[CcrIdx], *W.Checker, *W.Session,
-                          &Outcomes[CcrIdx * NumClasses]);
-      W.Stats.BusySeconds += CcrTimer.elapsedSeconds();
-      W.Stats.Pairs += NumClasses;
-    });
-    for (PlacementWorker &W : Workers) {
-      W.Stats.SolverQueries = W.Session->numQueries();
-      Result.Stats.Workers.push_back(W.Stats);
-    }
-  } else {
-    support::ThreadPool Pool(Jobs);
-    Pool.parallelFor(NumPairs, [&](unsigned WorkerId, size_t Pair) {
-      if (Expired())
-        return; // leave the slot untouched; flagged Cancelled below
-      PlacementWorker &W = Workers[WorkerId];
-      WallTimer PairTimer;
-      obs::Span PairSpan(Options.Trace, "pair");
-      PairSpan.arg("ccr", static_cast<uint64_t>(Pair / NumClasses));
-      PairSpan.arg("class", static_cast<uint64_t>(Pair % NumClasses));
-      Outcomes[Pair] = checkPair(Env, Sema.Ccrs[Pair / NumClasses],
-                                 Sema.Classes[Pair % NumClasses].get(),
-                                 *W.Checker, *W.Solver);
-      W.Stats.BusySeconds += PairTimer.elapsedSeconds();
-      ++W.Stats.Pairs;
-    });
-    for (PlacementWorker &W : Workers) {
-      W.Stats.SolverQueries = W.Solver->numQueries();
-      Result.Stats.Workers.push_back(W.Stats);
-    }
-  }
 
   // --- Deterministic merge, in (CCR index, class index) order. -------------
   for (size_t CcrIdx = 0; CcrIdx < Sema.Ccrs.size(); ++CcrIdx) {

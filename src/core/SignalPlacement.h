@@ -65,18 +65,18 @@ struct PlacementOptions {
   bool UseCommutativity = true;  ///< §4.3 Equation-2 weakening
   bool LazyBroadcast = true;     ///< §6 chained broadcasts (runtime/codegen)
   bool CacheQueries = true;      ///< memoize checkSat via solver::CachingSolver
-  /// Discharge Algorithm 1's checks through incremental solver sessions:
-  /// each (CCR, worker) pair opens a scoped session that asserts the
-  /// invariant/guard prefix once and pushes per-predicate-class VCs as
-  /// deltas, batching the independent no-signal checks of one CCR into a
-  /// single assumption-guarded solver call. Σ, PlacementStats, and every
-  /// cache counter are byte-identical with this on or off (the differential
-  /// contract of tests/IncrementalSolverTest.cpp); off is the
-  /// one-context-per-query ablation baseline. Ignored when the backend has
-  /// no session support.
+  /// The discharge mode of every solver::SolverSession the run opens. On,
+  /// a natively incremental backend (Z3) asserts the invariant/guard prefix
+  /// once and takes per-predicate-class VCs as deltas, batching the
+  /// independent no-signal checks of one CCR into a single
+  /// assumption-guarded solver call. Off, every VC is one absolute checkSat
+  /// (for Z3, a fresh context per query): the ablation baseline. Σ,
+  /// PlacementStats, and every cache counter are byte-identical with this on
+  /// or off (the differential contract of tests/IncrementalSolverTest.cpp).
   bool Incremental = true;
-  /// Worker threads for the (CCR, predicate-class) fan-out; 1 = serial.
-  /// Every pair's checks are an independent validity workload, so placement
+  /// Worker threads for the fan-out; 1 = serial. The unit of work is one
+  /// CCR (all its predicate classes), so Jobs is capped at the CCR count.
+  /// Every CCR's checks are an independent validity workload, so placement
   /// parallelizes embarrassingly; the merge is deterministic (ordered by
   /// (CCR index, class index)), so any Jobs value yields the same Σ.
   unsigned Jobs = 1;
@@ -94,8 +94,8 @@ struct PlacementOptions {
   support::CancelToken *Cancel = nullptr;
   /// Span tracer (obs::Tracer): when attached, the run records nested,
   /// thread-attributed phase spans — invariant inference (forwarded into
-  /// InvariantConfig::Trace), per-CCR sessions, per-pair checks, VC
-  /// batches, and individual solver queries with their cache-tier outcome
+  /// InvariantConfig::Trace), per-CCR sessions, VC batches, and
+  /// individual solver queries with their cache-tier outcome
   /// (attached to the CachingSolver for the duration of the run). Tracing
   /// is byte-invisible: Σ, every stat, and every cache counter are
   /// identical with it on or off (differential-pinned in
@@ -106,7 +106,7 @@ struct PlacementOptions {
 
 /// Per-worker accounting for one parallel placement run.
 struct WorkerStats {
-  uint64_t Pairs = 0;         ///< (w, p) pairs this worker processed
+  uint64_t Pairs = 0;         ///< (w, p) pairs of the CCRs this worker ran
   uint64_t SolverQueries = 0; ///< checkSat lookups this worker issued
   double BusySeconds = 0;     ///< wall time inside pair checks
 };
@@ -124,8 +124,8 @@ struct PlacementStats {
   solver::CacheStats Cache;      ///< query-cache accounting (zero when off)
   double InvariantSeconds = 0;
   double PlacementSeconds = 0;
-  /// True when the main loop discharged VCs through incremental solver
-  /// sessions (Options.Incremental on a session-capable backend). Not part
+  /// True when Options.Incremental is on and the discharging backend
+  /// supports the session API (SmtSolver::supportsIncremental). Not part
   /// of summary(): the output contract is that summaries are byte-identical
   /// across modes.
   bool IncrementalSessions = false;
@@ -145,6 +145,15 @@ struct PlacementResult {
   /// Placements/Stats are partial; callers must not treat them as Σ (the
   /// daemon answers DeadlineExceeded and publishes nothing).
   bool Cancelled = false;
+  /// True when the token had already expired by the end of invariant
+  /// inference, so the deadline was spent there rather than in placement.
+  bool CancelledInInference = false;
+
+  /// The phase a cancelled run expired in, for error messages: "invariant
+  /// inference" or "placement".
+  const char *cancelledPhase() const {
+    return CancelledInInference ? "invariant inference" : "placement";
+  }
 
   const CcrPlacement &placementFor(const frontend::WaitUntil *W) const;
 

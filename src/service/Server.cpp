@@ -294,7 +294,8 @@ PlaceResponse PlacementService::execute(const PlaceRequest &Req,
     R.JobsUsed = S.JobsUsed;
     R.SolverName = Rig.solver().name();
     R.Status = ResponseStatus::DeadlineExceeded;
-    R.Error = "deadline exceeded during placement";
+    R.Error = std::string("deadline exceeded during ") +
+              Result.cancelledPhase();
     return R;
   }
 

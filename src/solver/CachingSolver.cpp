@@ -140,12 +140,6 @@ CheckResult CachingSolver::lookupOrCompute(const Term *F,
   return R;
 }
 
-CheckResult CachingSolver::lookupOrCompute(const Term *F,
-                                           SmtSolver &ComputeBackend) {
-  return lookupOrCompute(
-      F, [&](const Term *G) { return ComputeBackend.checkSat(G); });
-}
-
 std::vector<CheckResult>
 CachingSolver::lookupOrComputeBatch(const std::vector<const Term *> &Fs,
                                     const BatchComputeFn &Compute) {
@@ -259,7 +253,8 @@ CachingSolver::lookupOrComputeBatch(const std::vector<const Term *> &Fs,
 }
 
 CheckResult CachingSolver::checkSat(const Term *F) {
-  return lookupOrCompute(F, *Backend);
+  return lookupOrCompute(F,
+                         [this](const Term *G) { return Backend->checkSat(G); });
 }
 
 void CachingSolver::setCancelToken(support::CancelToken *T) {
@@ -283,40 +278,6 @@ void CachingSolver::clearCache() {
   }
 }
 
-/// Worker-side view of a shared CachingSolver: same memo table, private
-/// backend for the misses this worker owns.
-class CachingSolver::Session : public SmtSolver {
-public:
-  Session(CachingSolver &Shared, std::unique_ptr<SmtSolver> WorkerBackend)
-      : SmtSolver(Shared.context()), Shared(Shared),
-        WorkerBackend(std::move(WorkerBackend)) {}
-
-  CheckResult checkSat(const Term *F) override {
-    ++Queries; // per-worker lookup count; Shared counts the global total
-    return Shared.lookupOrCompute(F, *WorkerBackend);
-  }
-
-  std::string name() const override {
-    return "session(" + WorkerBackend->name() + ")";
-  }
-
-  void setCancelToken(support::CancelToken *T) override {
-    SmtSolver::setCancelToken(T);
-    WorkerBackend->setCancelToken(T);
-  }
-
-private:
-  CachingSolver &Shared;
-  std::unique_ptr<SmtSolver> WorkerBackend;
-};
-
-std::unique_ptr<SmtSolver>
-CachingSolver::makeSession(std::unique_ptr<SmtSolver> WorkerBackend) {
-  if (!WorkerBackend || &WorkerBackend->context() != &Ctx)
-    return nullptr;
-  return std::make_unique<Session>(*this, std::move(WorkerBackend));
-}
-
 std::vector<std::unique_ptr<SmtSolver>>
 solver::mintWorkerBackends(TermContext &C, const SolverFactory &Factory,
                            unsigned Jobs) {
@@ -330,26 +291,4 @@ solver::mintWorkerBackends(TermContext &C, const SolverFactory &Factory,
     Raw.push_back(std::move(Backend));
   }
   return Raw;
-}
-
-std::vector<std::unique_ptr<SmtSolver>>
-solver::makeWorkerSolvers(TermContext &C, const SolverFactory &Factory,
-                          CachingSolver *SharedCache, unsigned Jobs) {
-  std::vector<std::unique_ptr<SmtSolver>> Workers;
-  if (Jobs <= 1)
-    return Workers;
-  std::vector<std::unique_ptr<SmtSolver>> Raw =
-      mintWorkerBackends(C, Factory, Jobs);
-  if (Raw.empty())
-    return Workers;
-  for (unsigned J = 0; J < Jobs; ++J) {
-    if (SharedCache) {
-      Workers.push_back(SharedCache->makeSession(std::move(Raw[J])));
-      if (!Workers.back())
-        return {};
-    } else {
-      Workers.push_back(std::move(Raw[J]));
-    }
-  }
-  return Workers;
 }

@@ -28,8 +28,9 @@
 /// counters are atomics.
 ///
 /// Worker threads do not share the primary backend (backends are not
-/// thread-safe); they attach via makeSession(), which pairs the shared memo
-/// table with a private backend instance for cache misses.
+/// thread-safe): each opens a solver::SolverSession that pairs this memo
+/// table with a private backend (minted by mintWorkerBackends) for the
+/// misses it owns, going through lookupOrCompute/lookupOrComputeBatch.
 ///
 /// Two-tier operation: when a persist::QueryStore is attached
 /// (attachStore), the sharded memo stays in front and the disk store sits
@@ -182,14 +183,6 @@ public:
   void setTracer(obs::Tracer *T) { Trace = T; }
   obs::Tracer *tracer() const { return Trace; }
 
-  /// A per-worker handle onto this memo table. The session shares (and
-  /// populates) the cache but discharges misses on \p WorkerBackend, which
-  /// it owns — so placement workers never touch the primary backend. The
-  /// session's own numQueries() counts the lookups that worker issued.
-  /// Returns null when \p WorkerBackend is null or bound to another context.
-  std::unique_ptr<SmtSolver>
-  makeSession(std::unique_ptr<SmtSolver> WorkerBackend);
-
   /// Snapshot of the per-tier hit/miss counters (atomics read relaxed;
   /// exact once concurrent queries have drained).
   CacheStats stats() const {
@@ -207,13 +200,6 @@ public:
   SmtSolver &backend() { return *Backend; }
 
 private:
-  class Session;
-
-  /// The single-flight lookup: returns the memoized result, or computes it
-  /// on \p ComputeBackend while publishing an in-flight entry that
-  /// concurrent askers of the same formula wait on.
-  CheckResult lookupOrCompute(const logic::Term *F, SmtSolver &ComputeBackend);
-
   /// Probes the persistent tier for the owning miss of \p F (counting disk
   /// hit/miss) and computes + writes through on a store miss. Shared by the
   /// single and batched owner paths. \p Q (may be null) is the caller's
@@ -241,26 +227,14 @@ private:
   std::atomic<uint64_t> DiskMisses{0};
 };
 
-/// Mints one private raw backend per job from \p Factory, each validated
-/// against \p C. Empty — callers must then stay serial — when \p Jobs == 0,
-/// the factory is invalid, or any backend cannot be minted. The raw-handle
-/// sibling of makeWorkerSolvers, for the incremental-session engines (which
-/// need push/pop on the backend itself); shared so the mint/validate
-/// sequence cannot diverge between placement and the invariant fixpoint.
+/// Mints one private backend per job from \p Factory, each validated
+/// against \p C — the only producer of worker backends, shared so the
+/// mint/validate sequence cannot diverge between placement and the
+/// invariant fixpoint. Empty — callers must then stay serial — when \p Jobs
+/// == 0, the factory is invalid, or any backend cannot be minted for \p C.
 std::vector<std::unique_ptr<SmtSolver>>
 mintWorkerBackends(logic::TermContext &C, const SolverFactory &Factory,
                    unsigned Jobs);
-
-/// Builds the per-worker solver handles for a parallel fan-out: one private
-/// backend per job minted by \p Factory, each wrapped as a session of
-/// \p SharedCache when non-null (raw backends otherwise — the cache-off
-/// configuration). Returns an empty vector — callers must then stay serial
-/// — when \p Jobs <= 1, the factory is invalid, or any backend cannot be
-/// minted for \p C. Shared by placeSignals and the invariant fixpoint so
-/// the mint/validate/session sequence cannot diverge between them.
-std::vector<std::unique_ptr<SmtSolver>>
-makeWorkerSolvers(logic::TermContext &C, const SolverFactory &Factory,
-                  CachingSolver *SharedCache, unsigned Jobs);
 
 } // namespace solver
 } // namespace expresso

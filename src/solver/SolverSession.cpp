@@ -11,9 +11,10 @@ using namespace expresso;
 using namespace expresso::solver;
 using logic::Term;
 
-SolverSession::SolverSession(CachingSolver *Cache, SmtSolver &Backend)
+SolverSession::SolverSession(CachingSolver *Cache, SmtSolver &Backend,
+                             bool Incremental)
     : Cache(Cache), Backend(Backend), Absolute(*this),
-      Native(Backend.nativeIncremental()) {}
+      Native(Incremental && Backend.nativeIncremental()) {}
 
 SolverSession::~SolverSession() {
   // Restore the backend to an empty stack so it can serve a later session.
@@ -83,10 +84,10 @@ void SolverSession::dropGuardScope() {
 }
 
 CheckResult SolverSession::computeScoped(const Term *F) {
-  // Only natively incremental backends discharge through the session
-  // solver; snapshot backends would re-encode the same one-shot formula
-  // with extra steps (and their Unknown-fallback would double-count backend
-  // queries, breaking stat parity with --incremental=off).
+  // Only native mode discharges through the session solver. Otherwise
+  // (--incremental=off, or a snapshot backend, which would re-encode the
+  // same one-shot formula with extra steps and whose Unknown-fallback would
+  // double-count backend queries) each query is one absolute checkSat.
   if (Native) {
     CheckResult R = Backend.checkSatAssuming({F});
     // An incremental Unknown falls back to the one-shot discharge so a

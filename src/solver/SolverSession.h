@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The discharge layer between signal placement and the solver stack when
-/// incremental sessions are on. One SolverSession pairs a worker's private
-/// backend with the shared CachingSolver (when caching is enabled) and
-/// exposes the scope structure Algorithm 1 needs:
+/// The discharge layer between the analyses (signal placement, invariant
+/// inference) and the solver stack. Every VC either analysis issues goes
+/// through a SolverSession, whatever the --incremental mode. One session
+/// pairs a worker's backend with the shared CachingSolver (when caching is
+/// enabled) and exposes the scope structure Algorithm 1 needs:
 ///
 ///   * a session-lifetime *invariant scope* — the monitor invariant I is
 ///     asserted once per worker and stays for every CCR the worker handles;
@@ -28,16 +29,22 @@
 /// counted, single-flighted, and persisted exactly like one-shot queries,
 /// byte-for-byte (see persist/TermCodec.h on key derivation).
 ///
-/// Queries whose answers the backend fails to produce incrementally
-/// (session breakage, Unknown from an incremental check) are re-discharged
-/// one-shot, so the answers a session produces are the answers
-/// --incremental=off would have produced — the differential harness in
-/// tests/IncrementalSolverTest.cpp holds the two modes to byte parity.
+/// Two discharge modes, one call sequence:
 ///
-/// Prefix assertion is applied only on natively incremental backends (Z3).
-/// Snapshot backends (MiniSmt) would pay re-encoding for nothing, so for
-/// them every scoped check degrades to the one-shot-equivalent single-
-/// assumption form; answers are identical either way.
+///   * native (--incremental=on over a natively incremental backend, i.e.
+///     Z3): prefixes are pushed and asserted on the backend, and every check
+///     is a checkSatAssuming/checkSatBatch delta against them. Queries whose
+///     answers the backend fails to produce incrementally (session breakage,
+///     Unknown from an incremental check) are re-discharged with a plain
+///     checkSat, so a session never answers weaker than one-shot mode;
+///   * one-shot (--incremental=off, or a backend that is not natively
+///     incremental, e.g. MiniSmt snapshots): the session never calls push,
+///     assertTerm, checkSatAssuming or checkSatBatch — each VC is exactly
+///     one absolute Backend.checkSat. For Z3 that is a fresh z3::context per
+///     query, outside the context pool: the paper-style ablation baseline.
+///
+/// Answers are identical either way; the differential harness in
+/// tests/IncrementalSolverTest.cpp holds the two modes to byte parity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,13 +58,17 @@
 namespace expresso {
 namespace solver {
 
-/// A per-worker incremental discharge session. Not thread-safe: one worker
-/// thread owns one session (and its backend) for the session's lifetime.
+/// A per-worker discharge session. Not thread-safe: one worker thread owns
+/// one session (and its backend) for the session's lifetime.
 class SolverSession {
 public:
   /// \p Cache may be null (the --no-cache configuration); \p Backend is the
   /// worker's private backend, borrowed for the session's lifetime.
-  SolverSession(CachingSolver *Cache, SmtSolver &Backend);
+  /// \p Incremental selects the mode: prefixes are asserted on the backend
+  /// only when it is set and the backend is natively incremental; otherwise
+  /// every discharge is one absolute checkSat.
+  SolverSession(CachingSolver *Cache, SmtSolver &Backend,
+                bool Incremental = true);
   ~SolverSession();
 
   SolverSession(const SolverSession &) = delete;
@@ -92,14 +103,9 @@ public:
   /// queries entail no prefix at all (commutativity checks).
   SmtSolver &absoluteSolver() { return Absolute; }
 
-  /// Total formulas this session decided (scoped + absolute), the analogue
-  /// of a worker solver handle's numQueries() in one-shot mode.
+  /// Total formulas this session decided (scoped + absolute): the worker's
+  /// query count.
   uint64_t numQueries() const { return Lookups; }
-
-  /// True while the backend session machinery is healthy AND natively
-  /// incremental; false means every discharge is one-shot-equivalent
-  /// (answers unchanged — this is a perf bit, not a correctness bit).
-  bool native() const { return Native; }
 
 private:
   class AbsoluteView : public SmtSolver {

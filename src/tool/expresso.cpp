@@ -570,6 +570,8 @@ int runConnected(const std::string &SocketPath,
                  R.Error.empty() ? "deadline exceeded" : R.Error.c_str(),
                  static_cast<unsigned long long>(R.HoareChecks),
                  static_cast<unsigned long long>(R.SolverQueries));
+    if (!TraceOutPath.empty() && !R.TraceJson.empty())
+      writeTraceFile(TraceOutPath, R.TraceJson);
     return 1;
   }
   if (R.Status != service::ResponseStatus::Ok) {
@@ -975,11 +977,14 @@ int main(int Argc, char **Argv) {
 
   if (Result.Cancelled) {
     std::fprintf(stderr,
-                 "expresso: deadline of %gs exceeded during placement "
+                 "expresso: deadline of %gs exceeded during %s "
                  "(%zu hoare checks, %zu solver queries before "
                  "cancellation)\n",
-                 DeadlineSeconds, Result.Stats.HoareChecks,
-                 Result.Stats.SolverQueries);
+                 DeadlineSeconds, Result.cancelledPhase(),
+                 Result.Stats.HoareChecks, Result.Stats.SolverQueries);
+    // The partial trace shows where the time went.
+    if (Tracer)
+      writeTraceFile(TraceOutPath, Tracer->exportChromeJson());
     return 1;
   }
 

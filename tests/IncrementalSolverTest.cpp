@@ -329,6 +329,116 @@ TEST(IncrementalEngagementTest, NonSessionBackendFallsBackToOneShot) {
   EXPECT_FALSE(P.Placements.empty());
 }
 
+/// Session-API calls that crossed a RecordingSolver boundary.
+struct SessionCalls {
+  std::atomic<uint64_t> Push{0};
+  std::atomic<uint64_t> AssertTerm{0};
+  std::atomic<uint64_t> CheckSatAssuming{0};
+  std::atomic<uint64_t> CheckSatBatch{0};
+};
+
+/// A backend that claims native incrementality and counts every push,
+/// assertTerm, checkSatAssuming and checkSatBatch before forwarding it.
+class RecordingSolver : public SmtSolver {
+public:
+  RecordingSolver(std::unique_ptr<SmtSolver> Inner, SessionCalls &Calls)
+      : SmtSolver(Inner->context()), Inner(std::move(Inner)), Calls(Calls) {}
+  CheckResult checkSat(const Term *F) override {
+    ++Queries;
+    return Inner->checkSat(F);
+  }
+  std::string name() const override {
+    return "recording(" + Inner->name() + ")";
+  }
+  bool supportsIncremental() const override { return true; }
+  bool nativeIncremental() const override { return true; }
+  bool push() override {
+    ++Calls.Push;
+    return Inner->push();
+  }
+  bool pop() override { return Inner->pop(); }
+  bool assertTerm(const Term *F) override {
+    ++Calls.AssertTerm;
+    return Inner->assertTerm(F);
+  }
+  CheckResult
+  checkSatAssuming(const std::vector<const Term *> &Assumptions) override {
+    ++Calls.CheckSatAssuming;
+    ++Queries;
+    return Inner->checkSatAssuming(Assumptions);
+  }
+  std::vector<CheckResult>
+  checkSatBatch(const std::vector<const Term *> &Fs) override {
+    ++Calls.CheckSatBatch;
+    Queries.fetch_add(Fs.size(), std::memory_order_relaxed);
+    return Inner->checkSatBatch(Fs);
+  }
+  void setCancelToken(support::CancelToken *T) override {
+    SmtSolver::setCancelToken(T);
+    Inner->setCancelToken(T);
+  }
+
+private:
+  std::unique_ptr<SmtSolver> Inner;
+  SessionCalls &Calls;
+};
+
+/// ReadersWriters placed over recording backends wrapping \p Kind — the
+/// caller's backend and every minted worker backend alike.
+std::string placeRecorded(SolverKind Kind, bool Incremental, unsigned Jobs,
+                          bool Cache, SessionCalls &Calls) {
+  const bench::BenchmarkDef *Def = bench::findBenchmark("ReadersWriters");
+  EXPECT_NE(Def, nullptr);
+  TermContext C;
+  DiagnosticEngine Diags;
+  auto M = frontend::parseMonitor(Def->Source, Diags);
+  auto Sema = frontend::analyze(*M, C, Diags);
+  auto Mint = [Kind, &Calls](TermContext &Ctx) -> std::unique_ptr<SmtSolver> {
+    return std::make_unique<RecordingSolver>(createSolver(Kind, Ctx), Calls);
+  };
+  std::unique_ptr<SmtSolver> Backend = Mint(C);
+  core::PlacementOptions Opts;
+  Opts.Incremental = Incremental;
+  Opts.CacheQueries = Cache;
+  Opts.Jobs = Jobs;
+  Opts.WorkerSolvers = SolverFactory(Mint);
+  core::PlacementResult P = core::placeSignals(C, *Sema, *Backend, Opts);
+  EXPECT_EQ(P.Stats.JobsUsed, std::min<size_t>(Jobs, Sema->Ccrs.size()));
+  return P.decisionSummary();
+}
+
+// --incremental=off never touches the session API, even on a backend that
+// claims native sessions: every VC is one absolute checkSat (for Z3, a
+// fresh context per query, outside the context pool).
+TEST(IncrementalEngagementTest, OffModeNeverTouchesSessionApi) {
+  std::vector<SolverKind> Kinds = {SolverKind::Mini};
+  if (hasZ3())
+    Kinds.push_back(SolverKind::Z3);
+  for (SolverKind Kind : Kinds)
+    for (unsigned Jobs : {1u, 4u})
+      for (bool Cache : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "kind " << static_cast<int>(Kind) << ", jobs "
+                     << Jobs << ", cache " << Cache);
+        SessionCalls On;
+        std::string SigmaOn = placeRecorded(Kind, true, Jobs, Cache, On);
+        // Positive control: the on run drives the session API.
+        EXPECT_GT(On.Push.load(), 0u);
+        EXPECT_GT(On.AssertTerm.load(), 0u);
+        EXPECT_GT(On.CheckSatAssuming.load() + On.CheckSatBatch.load(), 0u);
+
+        SessionCalls Off;
+        size_t IdleBefore = z3IdleContexts();
+        std::string SigmaOff = placeRecorded(Kind, false, Jobs, Cache, Off);
+        EXPECT_EQ(Off.Push.load(), 0u);
+        EXPECT_EQ(Off.AssertTerm.load(), 0u);
+        EXPECT_EQ(Off.CheckSatAssuming.load(), 0u);
+        EXPECT_EQ(Off.CheckSatBatch.load(), 0u);
+        EXPECT_EQ(z3IdleContexts(), IdleBefore);
+        EXPECT_EQ(SigmaOff, SigmaOn);
+      }
+}
+
 //===----------------------------------------------------------------------===//
 // Batched single-flight cache lookups
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,7 @@
 #include "core/SignalPlacement.h"
 #include "frontend/Parser.h"
 #include "solver/CachingSolver.h"
+#include "solver/SolverSession.h"
 #include "support/ThreadPool.h"
 
 #include "tests/TestUtil.h"
@@ -101,11 +102,13 @@ TEST(ShardedCacheTest, ConcurrentLookupsCountLikeSerial) {
   CachingSolver Cache(createSolver(SolverKind::Mini, C));
   constexpr unsigned NumThreads = 8;
   constexpr unsigned RoundsPerThread = 25;
-  std::vector<std::unique_ptr<SmtSolver>> Sessions;
-  for (unsigned T = 0; T < NumThreads; ++T) {
-    Sessions.push_back(Cache.makeSession(createSolver(SolverKind::Mini, C)));
-    ASSERT_NE(Sessions.back(), nullptr);
-  }
+  // One session per worker thread, each over its own private backend.
+  std::vector<std::unique_ptr<SmtSolver>> Backends =
+      mintWorkerBackends(C, SolverFactory(SolverKind::Mini), NumThreads);
+  ASSERT_EQ(Backends.size(), NumThreads);
+  std::vector<std::unique_ptr<SolverSession>> Sessions;
+  for (unsigned T = 0; T < NumThreads; ++T)
+    Sessions.push_back(std::make_unique<SolverSession>(&Cache, *Backends[T]));
 
   // Reference answers from an undecorated backend, before the hammer.
   auto Reference = createSolver(SolverKind::Mini, C);
@@ -119,7 +122,8 @@ TEST(ShardedCacheTest, ConcurrentLookupsCountLikeSerial) {
     Threads.emplace_back([&, T] {
       for (unsigned Round = 0; Round < RoundsPerThread; ++Round)
         for (size_t I = 0; I < Formulas.size(); ++I) {
-          Answer A = Sessions[T]->checkSat(Formulas[I]).TheAnswer;
+          Answer A =
+              Sessions[T]->absoluteSolver().checkSat(Formulas[I]).TheAnswer;
           if (A != Expected[I])
             Mismatch.store(true);
         }
@@ -141,13 +145,21 @@ TEST(ShardedCacheTest, ConcurrentLookupsCountLikeSerial) {
 }
 
 TEST(ShardedCacheTest, SessionRejectsForeignContext) {
+  // mintWorkerBackends is the only producer of worker backends: a factory
+  // that mints into another context, or no factory at all, yields none.
   TermContext C1, C2;
   CachingSolver Cache(createSolver(SolverKind::Mini, C1));
-  EXPECT_EQ(Cache.makeSession(createSolver(SolverKind::Mini, C2)), nullptr);
-  EXPECT_EQ(Cache.makeSession(nullptr), nullptr);
-  auto Session = Cache.makeSession(createSolver(SolverKind::Mini, C1));
-  ASSERT_NE(Session, nullptr);
-  EXPECT_EQ(Session->checkSat(C1.getTrue()).TheAnswer, Answer::Sat);
+  SolverFactory Foreign([&C2](TermContext &) {
+    return createSolver(SolverKind::Mini, C2);
+  });
+  EXPECT_TRUE(mintWorkerBackends(C1, Foreign, 2).empty());
+  EXPECT_TRUE(mintWorkerBackends(C1, SolverFactory(), 2).empty());
+  std::vector<std::unique_ptr<SmtSolver>> Backends =
+      mintWorkerBackends(C1, SolverFactory(SolverKind::Mini), 2);
+  ASSERT_EQ(Backends.size(), 2u);
+  SolverSession Session(&Cache, *Backends[0]);
+  EXPECT_EQ(Session.absoluteSolver().checkSat(C1.getTrue()).TheAnswer,
+            Answer::Sat);
   EXPECT_EQ(Cache.stats().Misses, 1u);
   // The primary solver now hits the entry the session populated.
   EXPECT_EQ(Cache.checkSat(C1.getTrue()).TheAnswer, Answer::Sat);
@@ -178,9 +190,11 @@ PlacementRun runPlacement(const bench::BenchmarkDef &Def, unsigned Jobs,
   Opts.Jobs = Jobs;
   Opts.WorkerSolvers = SolverFactory(SolverKind::Mini);
   core::PlacementResult P = core::placeSignals(C, *Sema, *Solver, Opts);
-  // The engine clamps the worker count to the number of (w, p) pairs.
-  if (Jobs > 1)
+  // The engine clamps the worker count to the number of CCRs.
+  if (Jobs > 1) {
     EXPECT_LE(P.Stats.JobsUsed, Jobs) << Def.Name;
+    EXPECT_LE(P.Stats.JobsUsed, Sema->Ccrs.size()) << Def.Name;
+  }
   return {P.decisionSummary(), P.summary(), P.Stats};
 }
 
@@ -253,6 +267,19 @@ TEST(ParallelPlacementDeterminismTest, RepeatedParallelRunsAgree) {
     PlacementRun Again = runPlacement(*Def, 4, /*Cache=*/true);
     EXPECT_EQ(Again.FullSummary, First.FullSummary);
   }
+}
+
+TEST(ParallelPlacementDeterminismTest, JobsCappedAtCcrCount) {
+  // The fan-out unit is the CCR: --jobs 4 on the 3-CCR AsyncDispatch runs
+  // three workers, each with its own accounting, and Σ does not move.
+  const bench::BenchmarkDef *Def = bench::findBenchmark("AsyncDispatch");
+  ASSERT_NE(Def, nullptr);
+  PlacementRun Serial = runPlacement(*Def, 1, /*Cache=*/true);
+  PlacementRun Par = runPlacement(*Def, 4, /*Cache=*/true);
+  EXPECT_EQ(Par.Stats.JobsUsed, 3u);
+  ASSERT_EQ(Par.Stats.Workers.size(), 3u);
+  EXPECT_EQ(Par.Decisions, Serial.Decisions);
+  EXPECT_EQ(Par.FullSummary, Serial.FullSummary);
 }
 
 TEST(ParallelPlacementDeterminismTest, InvalidFactoryFallsBackToSerial) {

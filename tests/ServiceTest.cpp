@@ -1202,10 +1202,15 @@ TEST(ServiceTest, MidPlacementDeadlineCancelsAndTheDaemonStaysHealthy) {
     AnyCompleted |= R.Status == ResponseStatus::Ok;
   }
   ASSERT_TRUE(Cancelled);
-  // The cancelled answer carries partial stats but no artifact.
+  // The cancelled answer carries partial stats but no artifact, and says
+  // where the deadline struck.
   EXPECT_TRUE(R.Artifact.empty());
   EXPECT_TRUE(R.DecisionSummary.empty());
-  EXPECT_FALSE(R.Error.empty());
+  EXPECT_TRUE(R.Error == "deadline exceeded during invariant inference" ||
+              R.Error == "deadline exceeded during placement" ||
+              R.Error == "deadline exceeded waiting for the job budget" ||
+              R.Error == "deadline exceeded while queued")
+      << R.Error;
 
   StatusResponse S = Srv.status();
   EXPECT_GE(S.RequestsCancelledRunning + S.RequestsExpiredQueued, 1u);
@@ -1298,6 +1303,66 @@ TEST(ServiceTest, CancelledRunPublishesNothingIntoTheSharedTiers) {
   EXPECT_GT(Clean.SharedMisses, 0u);
   EXPECT_EQ(Clean.DecisionSummary, runLocal("BoundedBuffer").Sigma);
   EXPECT_EQ(Svc.requestsCompleted(), 1u);
+}
+
+/// How a local placement under a deadline token ended.
+struct TimedRun {
+  bool Cancelled = false;
+  bool CancelledInInference = false;
+  std::string Phase;
+  std::string Summary;
+};
+
+/// A local placement of \p BenchName under \p Cancel; with
+/// \p SupplyInvariant, I = true is passed in and inference never runs.
+TimedRun placeUnder(const std::string &BenchName,
+                    support::CancelToken *Cancel, bool SupplyInvariant) {
+  const bench::BenchmarkDef *Def = bench::findBenchmark(BenchName);
+  EXPECT_NE(Def, nullptr);
+  logic::TermContext C;
+  DiagnosticEngine Diags;
+  auto M = frontend::parseMonitor(Def->Source, Diags);
+  auto Sema = frontend::analyze(*M, C, Diags);
+  solver::SolverRig Rig = solver::buildSolverRig(C, solver::SolverKind::Mini,
+                                                 /*CacheQueries=*/true,
+                                                 nullptr);
+  core::PlacementOptions Opts;
+  Opts.Cancel = Cancel;
+  core::PlacementResult P =
+      core::placeSignals(C, *Sema, Rig.solver(), Opts,
+                         SupplyInvariant ? C.getTrue() : nullptr);
+  return {P.Cancelled, P.CancelledInInference, P.cancelledPhase(),
+          P.summary()};
+}
+
+TEST(ServiceTest, DeadlineNamesThePhaseItExpiredIn) {
+  // An already-expired token: inference is the first phase to poll it.
+  support::CancelToken Expired;
+  Expired.cancel();
+  TimedRun InInference =
+      placeUnder("SimpleDecoder", &Expired, /*SupplyInvariant=*/false);
+  EXPECT_TRUE(InInference.Cancelled);
+  EXPECT_TRUE(InInference.CancelledInInference);
+  EXPECT_EQ(InInference.Phase, "invariant inference");
+
+  // The same token with the invariant supplied: no inference runs, so the
+  // deadline is spent in placement.
+  TimedRun InPlacement =
+      placeUnder("SimpleDecoder", &Expired, /*SupplyInvariant=*/true);
+  EXPECT_TRUE(InPlacement.Cancelled);
+  EXPECT_FALSE(InPlacement.CancelledInInference);
+  EXPECT_EQ(InPlacement.Phase, "placement");
+
+  // A deadline that never fires flags nothing and changes no byte.
+  support::CancelToken Generous;
+  Generous.setDeadlineAfterSeconds(3600.0);
+  TimedRun Timed =
+      placeUnder("SimpleDecoder", &Generous, /*SupplyInvariant=*/false);
+  TimedRun Plain =
+      placeUnder("SimpleDecoder", nullptr, /*SupplyInvariant=*/false);
+  EXPECT_FALSE(Timed.Cancelled);
+  EXPECT_FALSE(Timed.CancelledInInference);
+  EXPECT_EQ(Timed.Summary, Plain.Summary);
 }
 
 TEST(ServiceTest, ClientRecvTimesOutWhenTheDaemonWedges) {
