@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -162,6 +163,59 @@ TEST(CodegenDeterminismTest, SameSpecTwiceEmitsSameText) {
   EXPECT_GE(CppOrder.size(), 2u);
   EXPECT_TRUE(std::is_sorted(CppOrder.begin(), CppOrder.end()));
   EXPECT_EQ(CppOrder, JavaOrder);
+}
+
+/// Byte-exact fixtures for every benchmark's emitted IR, C++ and Java at
+/// default options, plus ReadersWriters under --no-lazy-broadcast (the only
+/// path that reaches notify_all/signalAll). After an intended change to the
+/// emitted text, regenerate them from the repository root with
+///
+///   for b in $(build/expresso --list-benchmarks | cut -d' ' -f1); do
+///     for e in ir cpp java; do
+///       build/expresso --benchmark=$b --emit=$e > tests/golden/codegen/$b.$e
+///     done; done
+///   for e in cpp java; do build/expresso --benchmark=ReadersWriters \
+///     --emit=$e --no-lazy-broadcast \
+///     > tests/golden/codegen/ReadersWriters.eager.$e; done
+std::string goldenPath(const std::string &File) {
+  std::string Here = __FILE__;
+  return Here.substr(0, Here.find_last_of('/') + 1) + "golden/codegen/" +
+         File;
+}
+
+void expectGolden(const std::string &File, const std::string &Actual) {
+  std::ifstream In(goldenPath(File), std::ios::binary);
+  ASSERT_TRUE(In) << "missing fixture " << goldenPath(File);
+  std::string Expected((std::istreambuf_iterator<char>(In)),
+                       std::istreambuf_iterator<char>());
+  EXPECT_EQ(Actual, Expected) << "emitted text differs from " << File;
+}
+
+class CodegenGoldenTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CodegenGoldenTest, MatchesFixtures) {
+  const bench::BenchmarkDef &Def =
+      bench::allBenchmarks()[static_cast<size_t>(GetParam())];
+  CodegenFixture F(Def.Source);
+  expectGolden(Def.Name + ".ir", codegen::printTargetIr(F.Result));
+  expectGolden(Def.Name + ".cpp", codegen::emitCpp(F.Result));
+  expectGolden(Def.Name + ".java", codegen::emitJava(F.Result));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, CodegenGoldenTest,
+                         ::testing::Range(0, 14),
+                         [](const ::testing::TestParamInfo<int> &Info) {
+                           return bench::allBenchmarks()
+                               [static_cast<size_t>(Info.param)]
+                                   .Name;
+                         });
+
+TEST(CodegenGoldenEagerTest, ReadersWritersMatchesFixtures) {
+  PlacementOptions Opts;
+  Opts.LazyBroadcast = false;
+  CodegenFixture F(bench::findBenchmark("ReadersWriters")->Source, Opts);
+  expectGolden("ReadersWriters.eager.cpp", codegen::emitCpp(F.Result));
+  expectGolden("ReadersWriters.eager.java", codegen::emitJava(F.Result));
 }
 
 /// The strongest codegen test: every benchmark's generated C++ must be
