@@ -1,0 +1,175 @@
+//===- codegen/Lowering.cpp - Shared lowering of Σ to target code ---------===//
+//
+// Part of expresso-cpp, a reproduction of "Symbolic Reasoning for Automatic
+// Signal Placement" (PLDI 2018).
+//
+//===----------------------------------------------------------------------===//
+
+#include "codegen/Lowering.h"
+
+#include <cassert>
+
+using namespace expresso;
+using namespace expresso::codegen;
+using namespace expresso::frontend;
+using logic::Term;
+using logic::TermKind;
+
+const Spelling codegen::CppSpelling = {
+    {"long", "bool", "std::map<long, long>", "std::map<long, bool>"},
+    "L",
+    "[",
+    {"]", "]"},
+    "[",
+    "] = ",
+    ";",
+    "mod_"};
+
+const Spelling codegen::JavaSpelling = {
+    {"int", "boolean", "java.util.HashMap<Integer, Integer>",
+     "java.util.HashMap<Integer, Boolean>"},
+    "",
+    ".getOrDefault(",
+    {", 0)", ", false)"},
+    ".put(",
+    ", ",
+    ");",
+    "Math.floorMod"};
+
+void codegen::renderTerm(std::ostream &OS, const Term *T, const Spelling &Sp,
+                         const PredicateClass *Waiter, const char *Obj) {
+  auto Sub = [&](const Term *Op) { renderTerm(OS, Op, Sp, Waiter, Obj); };
+  auto Infix = [&](const char *Op) {
+    OS << "(";
+    bool First = true;
+    for (const Term *Operand : T->operands()) {
+      if (!First)
+        OS << Op;
+      First = false;
+      Sub(Operand);
+    }
+    OS << ")";
+  };
+  switch (T->kind()) {
+  case TermKind::IntConst:
+    OS << T->intValue() << Sp.IntSuffix;
+    return;
+  case TermKind::BoolConst:
+    OS << (T->boolValue() ? "true" : "false");
+    return;
+  case TermKind::Var:
+    if (Waiter)
+      for (size_t I = 0; I < Waiter->Placeholders.size(); ++I)
+        if (Waiter->Placeholders[I] == T) {
+          OS << Obj << "p" << I;
+          return;
+        }
+    OS << T->varName();
+    return;
+  case TermKind::Add:
+    Infix(" + ");
+    return;
+  case TermKind::Mul:
+    Infix(" * ");
+    return;
+  case TermKind::Ite:
+    OS << "(";
+    Sub(T->operand(0));
+    OS << " ? ";
+    Sub(T->operand(1));
+    OS << " : ";
+    Sub(T->operand(2));
+    OS << ")";
+    return;
+  case TermKind::Select:
+    Sub(T->operand(0));
+    OS << Sp.ReadOpen;
+    Sub(T->operand(1));
+    OS << Sp.ReadClose[T->sort() == logic::Sort::Bool];
+    return;
+  case TermKind::Eq:
+    Infix(" == ");
+    return;
+  case TermKind::Le:
+    Infix(" <= ");
+    return;
+  case TermKind::Lt:
+    Infix(" < ");
+    return;
+  case TermKind::Divides:
+    OS << "(" << Sp.FloorMod << "(";
+    Sub(T->operand(0));
+    OS << ", " << T->intValue() << Sp.IntSuffix << ") == 0)";
+    return;
+  case TermKind::Not:
+    OS << "!";
+    Sub(T->operand(0));
+    return;
+  case TermKind::And:
+    Infix(" && ");
+    return;
+  case TermKind::Or:
+    Infix(" || ");
+    return;
+  case TermKind::Store:
+    OS << "/* unexpected store */";
+    return;
+  }
+}
+
+std::string_view codegen::localName(const Term *QualifiedVar) {
+  std::string_view Qual = QualifiedVar->varName();
+  return Qual.substr(Qual.find("::") + 2);
+}
+
+TypeKind codegen::placeholderType(const PredicateClass *Q, size_t I) {
+  return Q->Placeholders[I]->sort() == logic::Sort::Bool ? TypeKind::Bool
+                                                         : TypeKind::Int;
+}
+
+WakeLowering::WakeLowering(const core::PlacementResult &R)
+    : Ccrs(R.Sema->Ccrs) {
+  const SemaInfo &Sema = *R.Sema;
+  bool Lazy = R.Options.LazyBroadcast;
+  // Indexed by PredicateClass::Index, so both sets come out in Index order.
+  std::vector<bool> IsUsed(Sema.Classes.size()), IsChained(IsUsed);
+  for (const CcrInfo &CI : Ccrs)
+    if (!CI.Guard->isTrue())
+      IsUsed[CI.Class->Index] = true;
+  if (Lazy)
+    for (const core::CcrPlacement &P : R.Placements)
+      for (const core::SignalDecision &D : P.Decisions)
+        if (D.Broadcast)
+          IsChained[D.Target->Index] = true;
+  for (const auto &Q : Sema.Classes)
+    if (IsUsed[Q->Index])
+      Used.push_back(Q.get());
+
+  for (const Field &F : Sema.M->Fields)
+    if (F.IsConst && !F.Init)
+      CtorParams.push_back(&F);
+
+  Wakes.resize(Ccrs.size());
+  for (size_t I = 0; I < Ccrs.size(); ++I) {
+    const CcrInfo &CI = Ccrs[I];
+    const core::CcrPlacement &CP = R.placementFor(CI.W);
+    if (IsChained[CI.Class->Index])
+      Wakes[I].push_back({CI.Class, /*Conditional=*/true, /*All=*/false,
+                          /*Chain=*/true});
+    for (const core::SignalDecision &D : CP.Decisions) {
+      // A lazy broadcast wakes one waiter, predicate-checked.
+      bool LazyBroadcast = D.Broadcast && Lazy;
+      Wakes[I].push_back({D.Target, LazyBroadcast || D.Conditional,
+                          D.Broadcast && !Lazy, /*Chain=*/false});
+    }
+  }
+}
+
+const std::vector<Wake> &
+WakeLowering::wakesAfter(const frontend::WaitUntil *W) const {
+  for (size_t I = 0; I < Ccrs.size(); ++I)
+    if (Ccrs[I].W == W)
+      return Wakes[I];
+  assert(false && "waituntil not part of this monitor");
+  return Wakes.front();
+}

@@ -12,19 +12,11 @@
 using namespace expresso;
 using namespace expresso::frontend;
 
-const char *frontend::typeName(TypeKind T) {
-  switch (T) {
-  case TypeKind::Int:
-    return "int";
-  case TypeKind::Bool:
-    return "bool";
-  case TypeKind::IntArray:
-    return "int[]";
-  case TypeKind::BoolArray:
-    return "bool[]";
-  }
-  return "?";
-}
+const Spelling frontend::DslSpelling = {
+    {"int", "bool", "int[]", "bool[]"}, "", "[", {"]", "]"}, "[", "] = ", ";",
+    nullptr};
+
+const char *frontend::typeName(TypeKind T) { return DslSpelling.type(T); }
 
 const char *frontend::binaryOpSpelling(BinaryOp Op) {
   switch (Op) {
@@ -104,104 +96,121 @@ int precedenceOf(BinaryOp Op) {
   return 0;
 }
 
-void printExprPrec(std::ostringstream &OS, const Expr *E, int Parent) {
-  switch (E->kind()) {
-  case Expr::Kind::IntLit:
-    OS << cast<IntLit>(E)->value();
-    return;
-  case Expr::Kind::BoolLit:
-    OS << (cast<BoolLit>(E)->value() ? "true" : "false");
-    return;
-  case Expr::Kind::VarRef:
-    OS << cast<VarRef>(E)->name();
-    return;
-  case Expr::Kind::ArrayRef: {
-    const auto *A = cast<ArrayRef>(E);
-    OS << A->array() << "[";
-    printExprPrec(OS, A->index(), 0);
-    OS << "]";
-    return;
-  }
-  case Expr::Kind::Unary: {
-    const auto *U = cast<Unary>(E);
-    OS << (U->op() == UnaryOp::Not ? "!" : "-");
-    printExprPrec(OS, U->operand(), 7);
-    return;
-  }
-  case Expr::Kind::Binary: {
-    const auto *B = cast<Binary>(E);
-    int Prec = precedenceOf(B->op());
-    if (Parent > Prec)
-      OS << "(";
-    printExprPrec(OS, B->lhs(), Prec);
-    OS << " " << binaryOpSpelling(B->op()) << " ";
-    printExprPrec(OS, B->rhs(), Prec + 1);
-    if (Parent > Prec)
-      OS << ")";
-    return;
-  }
-  }
-}
+/// One walk over statements and expressions, spelling the constructs that
+/// differ between targets through a Spelling table.
+struct SourcePrinter {
+  std::ostringstream &OS;
+  const Spelling &Sp;
 
-void printStmtIndent(std::ostringstream &OS, const Stmt *S, unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  switch (S->kind()) {
-  case Stmt::Kind::Skip:
-    OS << Pad << ";\n";
-    return;
-  case Stmt::Kind::Assign: {
-    const auto *A = cast<AssignStmt>(S);
-    OS << Pad << A->target() << " = " << printExpr(A->value()) << ";\n";
-    return;
-  }
-  case Stmt::Kind::Store: {
-    const auto *St = cast<StoreStmt>(S);
-    OS << Pad << St->array() << "[" << printExpr(St->index())
-       << "] = " << printExpr(St->value()) << ";\n";
-    return;
-  }
-  case Stmt::Kind::Seq: {
-    for (const Stmt *Sub : cast<SeqStmt>(S)->stmts())
-      printStmtIndent(OS, Sub, Indent);
-    return;
-  }
-  case Stmt::Kind::If: {
-    const auto *I = cast<IfStmt>(S);
-    OS << Pad << "if (" << printExpr(I->cond()) << ") {\n";
-    printStmtIndent(OS, I->thenStmt(), Indent + 1);
-    if (I->elseStmt() && !isa<SkipStmt>(I->elseStmt())) {
-      OS << Pad << "} else {\n";
-      printStmtIndent(OS, I->elseStmt(), Indent + 1);
+  void expr(const Expr *E, int Parent) {
+    switch (E->kind()) {
+    case Expr::Kind::IntLit:
+      OS << cast<IntLit>(E)->value();
+      return;
+    case Expr::Kind::BoolLit:
+      OS << (cast<BoolLit>(E)->value() ? "true" : "false");
+      return;
+    case Expr::Kind::VarRef:
+      OS << cast<VarRef>(E)->name();
+      return;
+    case Expr::Kind::ArrayRef: {
+      const auto *A = cast<ArrayRef>(E);
+      OS << A->array() << DslSpelling.ReadOpen;
+      expr(A->index(), 0);
+      OS << DslSpelling.ReadClose[0];
+      return;
     }
-    OS << Pad << "}\n";
-    return;
+    case Expr::Kind::Unary: {
+      const auto *U = cast<Unary>(E);
+      OS << (U->op() == UnaryOp::Not ? "!" : "-");
+      expr(U->operand(), 7);
+      return;
+    }
+    case Expr::Kind::Binary: {
+      const auto *B = cast<Binary>(E);
+      int Prec = precedenceOf(B->op());
+      if (Parent > Prec)
+        OS << "(";
+      expr(B->lhs(), Prec);
+      OS << " " << binaryOpSpelling(B->op()) << " ";
+      expr(B->rhs(), Prec + 1);
+      if (Parent > Prec)
+        OS << ")";
+      return;
+    }
+    }
   }
-  case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    OS << Pad << "while (" << printExpr(W->cond()) << ") {\n";
-    printStmtIndent(OS, W->body(), Indent + 1);
-    OS << Pad << "}\n";
-    return;
+
+  void stmt(const Stmt *S, unsigned Indent) {
+    std::string Pad(Indent * 2, ' ');
+    switch (S->kind()) {
+    case Stmt::Kind::Skip:
+      OS << Pad << ";\n";
+      return;
+    case Stmt::Kind::Assign: {
+      const auto *A = cast<AssignStmt>(S);
+      OS << Pad << A->target() << " = ";
+      expr(A->value(), 0);
+      OS << ";\n";
+      return;
+    }
+    case Stmt::Kind::Store: {
+      const auto *St = cast<StoreStmt>(S);
+      OS << Pad << St->array() << Sp.WriteOpen;
+      expr(St->index(), 0);
+      OS << Sp.WriteMid;
+      expr(St->value(), 0);
+      OS << Sp.WriteClose << "\n";
+      return;
+    }
+    case Stmt::Kind::Seq:
+      for (const Stmt *Sub : cast<SeqStmt>(S)->stmts())
+        stmt(Sub, Indent);
+      return;
+    case Stmt::Kind::If: {
+      const auto *I = cast<IfStmt>(S);
+      OS << Pad << "if (";
+      expr(I->cond(), 0);
+      OS << ") {\n";
+      stmt(I->thenStmt(), Indent + 1);
+      if (I->elseStmt() && !isa<SkipStmt>(I->elseStmt())) {
+        OS << Pad << "} else {\n";
+        stmt(I->elseStmt(), Indent + 1);
+      }
+      OS << Pad << "}\n";
+      return;
+    }
+    case Stmt::Kind::While: {
+      const auto *W = cast<WhileStmt>(S);
+      OS << Pad << "while (";
+      expr(W->cond(), 0);
+      OS << ") {\n";
+      stmt(W->body(), Indent + 1);
+      OS << Pad << "}\n";
+      return;
+    }
+    case Stmt::Kind::LocalDecl: {
+      const auto *L = cast<LocalDeclStmt>(S);
+      OS << Pad << Sp.type(L->type()) << " " << L->name() << " = ";
+      expr(L->init(), 0);
+      OS << ";\n";
+      return;
+    }
+    }
   }
-  case Stmt::Kind::LocalDecl: {
-    const auto *L = cast<LocalDeclStmt>(S);
-    OS << Pad << typeName(L->type()) << " " << L->name() << " = "
-       << printExpr(L->init()) << ";\n";
-    return;
-  }
-  }
-}
+};
 
 } // namespace
 
-std::string frontend::printExpr(const Expr *E) {
+std::string frontend::printExpr(const Expr *E, const Spelling &Sp) {
   std::ostringstream OS;
-  printExprPrec(OS, E, 0);
+  SourcePrinter{OS, Sp}.expr(E, 0);
   return OS.str();
 }
 
-std::string frontend::printStmt(const Stmt *S, unsigned Indent) {
+std::string frontend::printStmt(const Stmt *S, unsigned Indent,
+                                const Spelling &Sp) {
   std::ostringstream OS;
-  printStmtIndent(OS, S, Indent);
+  SourcePrinter{OS, Sp}.stmt(S, Indent);
   return OS.str();
 }

@@ -378,10 +378,36 @@ private:
   std::vector<AnyPtr> Arena;
 };
 
-/// Renders a statement / expression back to monitor-language source (used by
-/// codegen and tests).
-std::string printExpr(const Expr *E);
-std::string printStmt(const Stmt *S, unsigned Indent = 0);
+/// How a target spells the constructs in which the monitor language, C++
+/// and Java differ. The source printer below and the codegen term renderer
+/// each walk their tree once and look these spellings up.
+struct Spelling {
+  /// Type names, indexed by TypeKind.
+  const char *Types[4];
+  /// Suffix of integer literals in rendered logic terms.
+  const char *IntSuffix;
+  /// An array read is `a<ReadOpen>i<ReadClose>`. ReadClose is indexed by
+  /// element type (0 int, 1 bool) because Java's getOrDefault names a
+  /// default value.
+  const char *ReadOpen;
+  const char *ReadClose[2];
+  /// An array write is `a<WriteOpen>i<WriteMid>v<WriteClose>`.
+  const char *WriteOpen, *WriteMid, *WriteClose;
+  /// Floor mod as a call `FloorMod(a, b)`. Null keeps the monitor
+  /// language's infix `%`, which is floor mod already.
+  const char *FloorMod;
+
+  const char *type(TypeKind T) const { return Types[static_cast<int>(T)]; }
+};
+
+/// The monitor language's own spelling.
+extern const Spelling DslSpelling;
+
+/// Renders a statement / expression as source in spelling \p Sp, by
+/// default back to the monitor language.
+std::string printExpr(const Expr *E, const Spelling &Sp = DslSpelling);
+std::string printStmt(const Stmt *S, unsigned Indent = 0,
+                      const Spelling &Sp = DslSpelling);
 
 } // namespace frontend
 } // namespace expresso
