@@ -63,7 +63,7 @@ private:
       OS << "  " << (F.IsConst ? "const " : "") << CppSpelling.type(F.Type)
          << " " << F.Name;
       if (F.Init) {
-        OS << " = " << printExpr(F.Init);
+        OS << " = " << printExpr(F.Init, CppSpelling, Sema.M);
       } else if (!F.IsConst && F.Type == TypeKind::Int) {
         OS << " = 0";
       } else if (!F.IsConst && F.Type == TypeKind::Bool) {
@@ -128,7 +128,7 @@ private:
     }
     OS << " {\n";
     if (Sema.M->InitBody)
-      OS << printStmt(Sema.M->InitBody, 2, CppSpelling);
+      OS << printStmt(Sema.M->InitBody, 2, CppSpelling, Sema.M);
     OS << "  }\n";
   }
 
@@ -146,11 +146,12 @@ private:
       // Wait loop.
       if (!CI.Guard->isTrue()) {
         const PredicateClass *Q = CI.Class;
+        OS << "    while (!(" << printExpr(W.Guard, CppSpelling, Sema.M)
+           << ")) ";
         if (Q->isGround()) {
-          OS << "    while (!(" << printExpr(W.Guard) << ")) " << cvName(Q)
-             << ".wait(lock_);\n";
+          OS << cvName(Q) << ".wait(lock_);\n";
         } else {
-          OS << "    while (!(" << printExpr(W.Guard) << ")) {\n";
+          OS << "{\n";
           OS << "      " << waiterStructName(Q) << " w_;\n";
           for (size_t I = 0; I < Q->Placeholders.size(); ++I)
             OS << "      w_.p" << I << " = " << localName(CI.ClassArgs[I])
@@ -161,7 +162,7 @@ private:
         }
       }
       // Body, then the wakes Σ places after it.
-      OS << printStmt(W.Body, 2, CppSpelling);
+      OS << printStmt(W.Body, 2, CppSpelling, Sema.M);
       for (const Wake &Wk : Lowered.wakesAfter(&W))
         emitWake(Wk);
     }

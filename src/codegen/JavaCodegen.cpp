@@ -51,7 +51,7 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
     OS << "  private " << (F.IsConst ? "final " : "")
        << JavaSpelling.type(F.Type) << " " << F.Name;
     if (F.Init) {
-      OS << " = " << printExpr(F.Init);
+      OS << " = " << printExpr(F.Init, JavaSpelling, Sema.M);
     } else if (F.Type == TypeKind::IntArray || F.Type == TypeKind::BoolArray) {
       OS << " = new java.util.HashMap<>()";
     } else if (!F.IsConst) {
@@ -90,7 +90,7 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
   for (const Field *F : Lowered.CtorParams)
     OS << "    this." << F->Name << " = " << F->Name << "Arg;\n";
   if (Sema.M->InitBody)
-    OS << printStmt(Sema.M->InitBody, 2, JavaSpelling);
+    OS << printStmt(Sema.M->InitBody, 2, JavaSpelling, Sema.M);
   OS << "  }\n";
 
   // A wake helper per local-variable class.
@@ -123,11 +123,12 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
       const CcrInfo &CI = Sema.info(&W);
       if (!CI.Guard->isTrue()) {
         const PredicateClass *Q = CI.Class;
+        OS << "      while (!(" << printExpr(W.Guard, JavaSpelling, Sema.M)
+           << ")) ";
         if (Q->isGround()) {
-          OS << "      while (!(" << printExpr(W.Guard) << ")) "
-             << condName(Q) << ".awaitUninterruptibly();\n";
+          OS << condName(Q) << ".awaitUninterruptibly();\n";
         } else {
-          OS << "      while (!(" << printExpr(W.Guard) << ")) {\n";
+          OS << "{\n";
           OS << "        WaiterC" << Q->Index << " w = new WaiterC"
              << Q->Index << "(lock.newCondition());\n";
           for (size_t I = 0; I < Q->Placeholders.size(); ++I)
@@ -138,7 +139,7 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
           OS << "      }\n";
         }
       }
-      OS << printStmt(W.Body, 3, JavaSpelling);
+      OS << printStmt(W.Body, 3, JavaSpelling, Sema.M);
       for (const Wake &Wk : Lowered.wakesAfter(&W)) {
         const PredicateClass *Q = Wk.Target;
         if (Wk.Chain)

@@ -55,7 +55,8 @@ struct Wake {
 /// Σ lowered to explicit wakes (§6). Under lazy broadcast, a broadcast to
 /// class Q becomes one predicate-checked wake, and every CCR waiting on Q
 /// passes the wake on after its body (the chain).
-struct WakeLowering {
+class WakeLowering {
+public:
   explicit WakeLowering(const core::PlacementResult &R);
 
   /// The wakes after \p W's body, in emission order, chain wake first.

@@ -101,6 +101,7 @@ int precedenceOf(BinaryOp Op) {
 struct SourcePrinter {
   std::ostringstream &OS;
   const Spelling &Sp;
+  const Monitor *M;
 
   void expr(const Expr *E, int Parent) {
     switch (E->kind()) {
@@ -115,9 +116,10 @@ struct SourcePrinter {
       return;
     case Expr::Kind::ArrayRef: {
       const auto *A = cast<ArrayRef>(E);
-      OS << A->array() << DslSpelling.ReadOpen;
+      const Field *F = M ? M->findField(A->array()) : nullptr;
+      OS << A->array() << Sp.ReadOpen;
       expr(A->index(), 0);
-      OS << DslSpelling.ReadClose[0];
+      OS << Sp.ReadClose[F && F->Type == TypeKind::BoolArray];
       return;
     }
     case Expr::Kind::Unary: {
@@ -128,6 +130,14 @@ struct SourcePrinter {
     }
     case Expr::Kind::Binary: {
       const auto *B = cast<Binary>(E);
+      if (B->op() == BinaryOp::Mod && Sp.FloorMod) {
+        OS << Sp.FloorMod << "(";
+        expr(B->lhs(), 0);
+        OS << ", ";
+        expr(B->rhs(), 0);
+        OS << ")";
+        return;
+      }
       int Prec = precedenceOf(B->op());
       if (Parent > Prec)
         OS << "(";
@@ -202,15 +212,16 @@ struct SourcePrinter {
 
 } // namespace
 
-std::string frontend::printExpr(const Expr *E, const Spelling &Sp) {
+std::string frontend::printExpr(const Expr *E, const Spelling &Sp,
+                                const Monitor *M) {
   std::ostringstream OS;
-  SourcePrinter{OS, Sp}.expr(E, 0);
+  SourcePrinter{OS, Sp, M}.expr(E, 0);
   return OS.str();
 }
 
 std::string frontend::printStmt(const Stmt *S, unsigned Indent,
-                                const Spelling &Sp) {
+                                const Spelling &Sp, const Monitor *M) {
   std::ostringstream OS;
-  SourcePrinter{OS, Sp}.stmt(S, Indent);
+  SourcePrinter{OS, Sp, M}.stmt(S, Indent);
   return OS.str();
 }

@@ -404,10 +404,13 @@ struct Spelling {
 extern const Spelling DslSpelling;
 
 /// Renders a statement / expression as source in spelling \p Sp, by
-/// default back to the monitor language.
-std::string printExpr(const Expr *E, const Spelling &Sp = DslSpelling);
+/// default back to the monitor language. \p M, the enclosing monitor, gives
+/// array element types; spellings whose int and bool reads differ need it.
+std::string printExpr(const Expr *E, const Spelling &Sp = DslSpelling,
+                      const Monitor *M = nullptr);
 std::string printStmt(const Stmt *S, unsigned Indent = 0,
-                      const Spelling &Sp = DslSpelling);
+                      const Spelling &Sp = DslSpelling,
+                      const Monitor *M = nullptr);
 
 } // namespace frontend
 } // namespace expresso

@@ -127,6 +127,29 @@ TEST(CppCodegenTest, LocalPredicateWaiterRegistry) {
   EXPECT_NE(Code.find("->p0"), std::string::npos) << Code;
 }
 
+TEST(CodegenTest, ModTurnGuardUsesFloorMod) {
+  // The monitor language's % is floor mod, as in the Divides terms of the
+  // signal conditions. At turn == -1 the signal below fires; a truncating
+  // guard would read -1 % 3 == -1 and put the woken thread back to sleep.
+  CodegenFixture F(R"(
+    monitor ModTurn {
+      int turn = 0;
+      void take() { waituntil (turn % 3 == 2) { turn = turn - 1; } }
+      void step() { turn = turn - 1; }
+    }
+  )");
+  std::string Cpp = codegen::emitCpp(F.Result);
+  EXPECT_NE(Cpp.find("while (!(mod_(turn, 3) == 2))"), std::string::npos)
+      << Cpp;
+  EXPECT_NE(Cpp.find("if ((mod_((turn + -2L), 3L) == 0))"), std::string::npos)
+      << Cpp;
+  std::string Java = codegen::emitJava(F.Result);
+  EXPECT_NE(Java.find("while (!(Math.floorMod(turn, 3) == 2))"),
+            std::string::npos)
+      << Java;
+  EXPECT_EQ(Java.find("turn % 3"), std::string::npos) << Java;
+}
+
 /// The class indices named by \p Marker ("// predicate class c", "// class
 /// c") in \p Code, in emission order.
 std::vector<unsigned> classOrder(const std::string &Code,
@@ -218,8 +241,20 @@ TEST(CodegenGoldenEagerTest, ReadersWritersMatchesFixtures) {
   expectGolden("ReadersWriters.eager.java", codegen::emitJava(F.Result));
 }
 
-/// The strongest codegen test: every benchmark's generated C++ must be
-/// accepted by the host compiler.
+/// Runs \p Cmd through the shell; returns its exit status and fills
+/// \p Output with what it printed.
+int runCommand(const std::string &Cmd, std::string &Output) {
+  FILE *Pipe = popen((Cmd + " 2>&1").c_str(), "r");
+  if (!Pipe)
+    return -1;
+  char Buf[512];
+  while (fgets(Buf, sizeof(Buf), Pipe))
+    Output += Buf;
+  return pclose(Pipe);
+}
+
+/// The strongest codegen test: every benchmark's generated C++ and Java
+/// must be accepted by the host compilers.
 class GeneratedCodeCompiles : public ::testing::TestWithParam<int> {};
 
 TEST_P(GeneratedCodeCompiles, CppIsValid) {
@@ -235,15 +270,38 @@ TEST_P(GeneratedCodeCompiles, CppIsValid) {
     std::ofstream Out(Path);
     Out << Code << "\nint main() { return 0; }\n";
   }
-  std::string Cmd = "g++ -std=c++17 -fsyntax-only -Wall " + Path + " 2>&1";
-  FILE *Pipe = popen(Cmd.c_str(), "r");
-  ASSERT_NE(Pipe, nullptr);
   std::string Output;
-  char Buf[512];
-  while (fgets(Buf, sizeof(Buf), Pipe))
-    Output += Buf;
-  int Status = pclose(Pipe);
+  int Status =
+      runCommand("g++ -std=c++17 -fsyntax-only -Wall " + Path, Output);
   EXPECT_EQ(Status, 0) << "generated code for " << Def.Name
+                       << " failed to compile:\n"
+                       << Output << "\n---- code ----\n"
+                       << Code;
+}
+
+TEST_P(GeneratedCodeCompiles, JavaIsValid) {
+  std::string Version;
+  static const bool HaveJavac = runCommand("javac -version", Version) == 0;
+  if (!HaveJavac)
+    GTEST_SKIP() << "javac not found";
+  const bench::BenchmarkDef &Def =
+      bench::allBenchmarks()[static_cast<size_t>(GetParam())];
+  CodegenFixture F(Def.Source);
+  std::string Code = codegen::emitJava(F.Result);
+
+  // javac wants the file named after its public class. The header comment
+  // holds a non-ASCII character, so the encoding must not follow the locale.
+  std::string Dir = ::testing::TempDir() + "/expresso_java_" + Def.Name;
+  std::string Path = Dir + "/" + F.M->Name + ".java";
+  std::string Output;
+  ASSERT_EQ(runCommand("mkdir -p " + Dir, Output), 0) << Output;
+  {
+    std::ofstream Out(Path);
+    Out << Code;
+  }
+  int Status =
+      runCommand("javac -encoding UTF-8 -d " + Dir + " " + Path, Output);
+  EXPECT_EQ(Status, 0) << "generated Java for " << Def.Name
                        << " failed to compile:\n"
                        << Output << "\n---- code ----\n"
                        << Code;

@@ -35,7 +35,7 @@ public class DiningPhilosophers {
   public void pickup(int left, int right) {
     lock.lock();
     try {
-      while (!(!forks[left] && !forks[right])) {
+      while (!(!forks.getOrDefault(left, false) && !forks.getOrDefault(right, false))) {
         WaiterC0 w = new WaiterC0(lock.newCondition());
         w.p0 = left;
         w.p1 = right;
