@@ -18,6 +18,10 @@
 ///     `while (!p) c.await()`, `if (p) c.signal()` for conditional signals
 ///     and `c.signalAll()` for broadcasts.
 ///
+/// Guards and bodies print through frontend::printStmt/printExpr and logic
+/// terms through codegen/Lowering.h, each given the target's spelling
+/// table; the wake calls come from Lowering.h's WakeLowering.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXPRESSO_CODEGEN_CODEGEN_H

@@ -28,7 +28,8 @@ namespace codegen {
 extern const frontend::Spelling CppSpelling;
 extern const frontend::Spelling JavaSpelling;
 
-/// Renders \p T as a target expression in spelling \p Sp. When \p Waiter is
+/// Renders \p T as a target expression in spelling \p Sp, which must spell
+/// floor mod as a call (CppSpelling and JavaSpelling do). When \p Waiter is
 /// given, its placeholders print as `<Obj>p<i>`, the snapshot fields of a
 /// waiter record.
 void renderTerm(std::ostream &OS, const logic::Term *T,

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -193,13 +194,12 @@ TEST(CodegenDeterminismTest, SameSpecTwiceEmitsSameText) {
 /// path that reaches notify_all/signalAll). After an intended change to the
 /// emitted text, regenerate them from the repository root with
 ///
-///   for b in $(build/expresso --list-benchmarks | cut -d' ' -f1); do
-///     for e in ir cpp java; do
-///       build/expresso --benchmark=$b --emit=$e > tests/golden/codegen/$b.$e
-///     done; done
-///   for e in cpp java; do build/expresso --benchmark=ReadersWriters \
-///     --emit=$e --no-lazy-broadcast \
-///     > tests/golden/codegen/ReadersWriters.eager.$e; done
+///   X=build/expresso G=tests/golden/codegen R=ReadersWriters
+///   for b in $($X --list-benchmarks | cut -d' ' -f1); do
+///     for e in ir cpp java; do $X --benchmark=$b --emit=$e > $G/$b.$e; done
+///   done
+///   for e in cpp java; do
+///     $X --benchmark=$R --emit=$e --no-lazy-broadcast > $G/$R.eager.$e; done
 std::string goldenPath(const std::string &File) {
   std::string Here = __FILE__;
   return Here.substr(0, Here.find_last_of('/') + 1) + "golden/codegen/" +
@@ -293,12 +293,12 @@ TEST_P(GeneratedCodeCompiles, JavaIsValid) {
   // holds a non-ASCII character, so the encoding must not follow the locale.
   std::string Dir = ::testing::TempDir() + "/expresso_java_" + Def.Name;
   std::string Path = Dir + "/" + F.M->Name + ".java";
-  std::string Output;
-  ASSERT_EQ(runCommand("mkdir -p " + Dir, Output), 0) << Output;
+  std::filesystem::create_directories(Dir);
   {
     std::ofstream Out(Path);
     Out << Code;
   }
+  std::string Output;
   int Status =
       runCommand("javac -encoding UTF-8 -d " + Dir + " " + Path, Output);
   EXPECT_EQ(Status, 0) << "generated Java for " << Def.Name
