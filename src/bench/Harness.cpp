@@ -18,11 +18,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -220,7 +222,6 @@ CellResult bench::runCell(const BenchmarkDef &Def, const BenchContext &Ctx,
     auto Engine = Ctx.makeEngine(Kind, Threads);
     std::atomic<unsigned> Ready{0};
     std::atomic<bool> Go{false};
-    std::atomic<bool> Done{false};
 
     std::vector<std::thread> Workers;
     Workers.reserve(Threads);
@@ -236,13 +237,17 @@ CellResult bench::runCell(const BenchmarkDef &Def, const BenchContext &Ctx,
       std::this_thread::yield();
 
     // Watchdog: abort with a diagnostic if the monitor stops progressing.
+    // It sleeps on a condition variable so the cell's end wakes it at once
+    // instead of costing a poll interval.
+    std::mutex DoneMu;
+    std::condition_variable DoneCv;
+    bool Done = false;
     std::thread Watchdog([&] {
       uint64_t LastCalls = 0;
       int Stalls = 0;
-      while (!Done.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(500));
-        if (Done.load())
-          return;
+      std::unique_lock<std::mutex> Lock(DoneMu);
+      while (!DoneCv.wait_for(Lock, std::chrono::milliseconds(500),
+                              [&] { return Done; })) {
         uint64_t Calls = Engine->stats().Calls;
         if (Calls == LastCalls) {
           if (++Stalls >= 40) {
@@ -265,7 +270,11 @@ CellResult bench::runCell(const BenchmarkDef &Def, const BenchContext &Ctx,
     for (std::thread &W : Workers)
       W.join();
     double ElapsedMs = Timer.elapsedMillis();
-    Done.store(true);
+    {
+      std::lock_guard<std::mutex> Lock(DoneMu);
+      Done = true;
+    }
+    DoneCv.notify_one();
     Watchdog.join();
 
     CellResult R;

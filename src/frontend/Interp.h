@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Concrete big-step execution of monitor statements: the ⟨s, t, σ⟩ ⇓ σ'
-/// judgement of Section 3.2. Used by the trace semantics, the runtime
-/// engines (guard evaluation and CCR bodies), and differential tests that
-/// validate weakest preconditions against real execution.
+/// judgement of Section 3.2. Used by the trace semantics, the monitors'
+/// initial states, and differential tests that validate weakest
+/// preconditions and the runtime bytecode against real execution.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,6 +10,7 @@
 #include "logic/Linear.h"
 #include "support/Casting.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -86,7 +87,8 @@ int SlotLayout::localSlot(const Method &Me, const std::string &Name) const {
   return It == LocalSlots.end() ? -1 : It->second;
 }
 
-void SlotLayout::packShared(const logic::Assignment &A, Frame &F) const {
+Frame SlotLayout::packShared(const logic::Assignment &A) const {
+  Frame F;
   F.Shared.assign(SharedSlots.size(), 0);
   F.Arrays.assign(ArraySlots.size(), {});
   for (const auto &[Name, Slot] : SharedSlots) {
@@ -99,9 +101,11 @@ void SlotLayout::packShared(const logic::Assignment &A, Frame &F) const {
     if (It != A.end())
       F.Arrays[static_cast<size_t>(Slot)] = It->second.A;
   }
+  return F;
 }
 
-void SlotLayout::unpackShared(const Frame &F, logic::Assignment &A) const {
+logic::Assignment SlotLayout::unpackShared(const Frame &F) const {
+  logic::Assignment A;
   for (const auto &[Name, Slot] : SharedSlots) {
     bool IsBool = SharedIsBool.at(Name);
     int64_t V = F.Shared[static_cast<size_t>(Slot)];
@@ -114,29 +118,18 @@ void SlotLayout::unpackShared(const Frame &F, logic::Assignment &A) const {
                                         : logic::Sort::BoolArray,
                                     F.Arrays[static_cast<size_t>(Slot)]);
   }
+  return A;
 }
 
-void SlotLayout::packLocals(const Method &Me, const logic::Assignment &A,
-                            Frame &F) const {
-  F.Locals.assign(MaxLocalSlots, 0);
+std::vector<int64_t> SlotLayout::packLocals(const Method &Me,
+                                            const logic::Assignment &A) const {
+  std::vector<int64_t> Locals(MaxLocalSlots, 0);
   for (const auto &[Name, V] : A) {
     int Slot = localSlot(Me, Name);
     if (Slot >= 0)
-      F.Locals[static_cast<size_t>(Slot)] = V.I;
+      Locals[static_cast<size_t>(Slot)] = V.I;
   }
-}
-
-void SlotLayout::unpackLocals(const Method &Me, const Frame &F,
-                              logic::Assignment &A) const {
-  for (const auto &[Qual, Slot] : LocalSlots) {
-    if (Qual.rfind(Me.Name + "::", 0) != 0)
-      continue;
-    std::string Plain = Qual.substr(Me.Name.size() + 2);
-    auto It = A.find(Plain);
-    if (It == A.end())
-      continue; // only write back locals the caller bound
-    It->second.I = F.Locals[static_cast<size_t>(Slot)];
-  }
+  return Locals;
 }
 
 //===----------------------------------------------------------------------===//
@@ -185,21 +178,25 @@ public:
       switch (B->op()) {
       case BinaryOp::And: {
         // Short-circuit: lhs false => 0 without evaluating rhs.
+        int Join = Depth;
         expr(B->lhs());
         size_t JZ = emitPatch(OpCode::JumpIfZero);
         expr(B->rhs());
         size_t JEnd = emitPatch(OpCode::Jump);
         patch(JZ);
+        Depth = Join; // the JumpIfZero edge
         emit(OpCode::PushConst, 0);
         patch(JEnd);
         return;
       }
       case BinaryOp::Or: {
+        int Join = Depth;
         expr(B->lhs());
         size_t JNZ = emitPatch(OpCode::JumpIfNonZero);
         expr(B->rhs());
         size_t JEnd = emitPatch(OpCode::Jump);
         patch(JNZ);
+        Depth = Join; // the JumpIfNonZero edge
         emit(OpCode::PushConst, 1);
         patch(JEnd);
         return;
@@ -315,9 +312,45 @@ public:
   }
 
 private:
-  void emit(OpCode Op, int64_t Imm = 0) { P.Code.push_back({Op, Imm}); }
+  /// Net operand-stack change of one instruction.
+  static int stackEffect(OpCode Op) {
+    switch (Op) {
+    case OpCode::PushConst:
+    case OpCode::LoadShared:
+    case OpCode::LoadLocal:
+      return 1;
+    case OpCode::StoreArray:
+      return -2;
+    case OpCode::StoreShared:
+    case OpCode::StoreLocal:
+    case OpCode::Add:
+    case OpCode::Sub:
+    case OpCode::Mul:
+    case OpCode::Mod:
+    case OpCode::CmpEq:
+    case OpCode::CmpLt:
+    case OpCode::CmpLe:
+    case OpCode::JumpIfZero:
+    case OpCode::JumpIfNonZero:
+      return -1;
+    case OpCode::LoadArray:
+    case OpCode::Neg:
+    case OpCode::Not:
+    case OpCode::Jump:
+    case OpCode::Halt:
+      return 0;
+    }
+    return 0;
+  }
+
+  void emit(OpCode Op, int64_t Imm = 0) {
+    P.Code.push_back({Op, Imm});
+    Depth += stackEffect(Op);
+    assert(Depth >= 0 && "operand stack underflow");
+    P.MaxStack = std::max(P.MaxStack, static_cast<size_t>(Depth));
+  }
   size_t emitPatch(OpCode Op) {
-    P.Code.push_back({Op, -1});
+    emit(Op, -1);
     return P.Code.size() - 1;
   }
   void patch(size_t At) {
@@ -327,6 +360,8 @@ private:
   const SlotLayout &L;
   const Method *M;
   Program P;
+  /// Operand-stack depth after the last emitted instruction.
+  int Depth = 0;
 };
 
 } // namespace runtime
@@ -350,39 +385,38 @@ Program runtime::compileStmt(const SlotLayout &L, const Stmt *S,
 // VM
 //===----------------------------------------------------------------------===//
 
-int64_t runtime::execute(const Program &P, Frame &F) {
-  std::vector<int64_t> Stack;
-  Stack.reserve(16);
+int64_t runtime::execute(const Program &P, Frame &F, int64_t *Locals,
+                         int64_t *Stack) {
+  // Sp points one past the top of stack.
+  int64_t *Sp = Stack;
   size_t Pc = 0;
-  auto pop = [&Stack] {
-    int64_t V = Stack.back();
-    Stack.pop_back();
-    return V;
-  };
+  auto push = [&Sp](int64_t V) { *Sp++ = V; };
+  auto pop = [&Sp] { return *--Sp; };
+  auto top = [&Sp]() -> int64_t & { return Sp[-1]; };
   for (;;) {
     assert(Pc < P.Code.size() && "pc out of range");
     const Instr &I = P.Code[Pc++];
     switch (I.Op) {
     case OpCode::PushConst:
-      Stack.push_back(I.Imm);
+      push(I.Imm);
       break;
     case OpCode::LoadShared:
-      Stack.push_back(F.Shared[static_cast<size_t>(I.Imm)]);
+      push(F.Shared[static_cast<size_t>(I.Imm)]);
       break;
     case OpCode::StoreShared:
       F.Shared[static_cast<size_t>(I.Imm)] = pop();
       break;
     case OpCode::LoadLocal:
-      Stack.push_back(F.Locals[static_cast<size_t>(I.Imm)]);
+      push(Locals[static_cast<size_t>(I.Imm)]);
       break;
     case OpCode::StoreLocal:
-      F.Locals[static_cast<size_t>(I.Imm)] = pop();
+      Locals[static_cast<size_t>(I.Imm)] = pop();
       break;
     case OpCode::LoadArray: {
       int64_t Idx = pop();
       auto &Arr = F.Arrays[static_cast<size_t>(I.Imm)];
       auto It = Arr.find(Idx);
-      Stack.push_back(It == Arr.end() ? 0 : It->second);
+      push(It == Arr.end() ? 0 : It->second);
       break;
     }
     case OpCode::StoreArray: {
@@ -393,43 +427,43 @@ int64_t runtime::execute(const Program &P, Frame &F) {
     }
     case OpCode::Add: {
       int64_t B = pop();
-      Stack.back() += B;
+      top() += B;
       break;
     }
     case OpCode::Sub: {
       int64_t B = pop();
-      Stack.back() -= B;
+      top() -= B;
       break;
     }
     case OpCode::Mul: {
       int64_t B = pop();
-      Stack.back() *= B;
+      top() *= B;
       break;
     }
     case OpCode::Mod: {
       int64_t B = pop();
-      Stack.back() = logic::mathMod(Stack.back(), B);
+      top() = logic::mathMod(top(), B);
       break;
     }
     case OpCode::Neg:
-      Stack.back() = -Stack.back();
+      top() = -top();
       break;
     case OpCode::Not:
-      Stack.back() = Stack.back() == 0 ? 1 : 0;
+      top() = top() == 0 ? 1 : 0;
       break;
     case OpCode::CmpEq: {
       int64_t B = pop();
-      Stack.back() = Stack.back() == B ? 1 : 0;
+      top() = top() == B ? 1 : 0;
       break;
     }
     case OpCode::CmpLt: {
       int64_t B = pop();
-      Stack.back() = Stack.back() < B ? 1 : 0;
+      top() = top() < B ? 1 : 0;
       break;
     }
     case OpCode::CmpLe: {
       int64_t B = pop();
-      Stack.back() = Stack.back() <= B ? 1 : 0;
+      top() = top() <= B ? 1 : 0;
       break;
     }
     case OpCode::Jump:
@@ -444,9 +478,18 @@ int64_t runtime::execute(const Program &P, Frame &F) {
         Pc = static_cast<size_t>(I.Imm);
       break;
     case OpCode::Halt:
-      return Stack.empty() ? 0 : Stack.back();
+      return Sp == Stack ? 0 : top();
     }
   }
+}
+
+int64_t runtime::execute(const Program &P, Frame &F, int64_t *Locals) {
+  constexpr size_t InlineDepth = 32;
+  int64_t Inline[InlineDepth];
+  if (P.MaxStack <= InlineDepth)
+    return execute(P, F, Locals, Inline);
+  std::vector<int64_t> Stack(P.MaxStack);
+  return execute(P, F, Locals, Stack.data());
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,13 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small stack bytecode for monitor expressions and statements. The
+/// A small stack bytecode for monitor expressions and statements, and the
+/// execution substrate of every runtime engine (runtime/Engine.h). The
 /// saturation benchmarks evaluate guards on every wait/signal decision;
-/// compiling them once removes the AST-walk overhead from the measurement
-/// loop (the same role JIT'd bytecode plays for the JVM monitors the paper
-/// measures). Programs are compiled per monitor against a slot layout:
-/// shared scalar fields, shared arrays, and thread-local scalars each get
-/// dense indices.
+/// compiling them once removes the AST walk and the string-keyed state
+/// from the measurement loop (the same role JIT'd bytecode plays for the
+/// JVM monitors the paper measures). Programs are compiled per monitor
+/// against a slot layout: shared scalar fields, shared arrays, and
+/// thread-local scalars each get dense indices. Shared state lives in one
+/// Frame; a thread's locals are a separate slot array, so a parked
+/// waiter's guard can be re-run against its own locals.
 ///
 /// The VM is validated by differential tests against the tree-walking
 /// interpreter on every benchmark monitor (see tests/BytecodeTest.cpp).
@@ -67,7 +70,16 @@ struct Instr {
 /// A compiled program.
 struct Program {
   std::vector<Instr> Code;
+  /// Deepest operand stack any run reaches, recorded by the compiler so the
+  /// VM runs on a fixed stack.
+  size_t MaxStack = 0;
   std::string str() const; ///< disassembly, for tests/debugging
+};
+
+/// A monitor's shared state in slot form: scalar fields and array fields.
+struct Frame {
+  std::vector<int64_t> Shared;
+  std::vector<std::map<int64_t, int64_t>> Arrays;
 };
 
 /// Slot layout shared by all programs of one monitor.
@@ -79,39 +91,30 @@ public:
 
   int sharedSlot(const std::string &Field) const;
   int arraySlot(const std::string &Field) const;
-  /// Local slot of \p Name within \p M (unqualified name).
+  /// Local slot of \p Name within \p M (unqualified name), or -1.
   int localSlot(const frontend::Method &M, const std::string &Name) const;
 
   size_t numSharedSlots() const { return SharedSlots.size(); }
   size_t numArraySlots() const { return ArraySlots.size(); }
   size_t numLocalSlots() const { return MaxLocalSlots; }
 
-  /// Converts between interpreter assignments and frames (tests, engine
-  /// boundaries).
-  void packShared(const logic::Assignment &A, struct Frame &F) const;
-  void unpackShared(const struct Frame &F, logic::Assignment &A) const;
-  void packLocals(const frontend::Method &M, const logic::Assignment &A,
-                  struct Frame &F) const;
-  void unpackLocals(const frontend::Method &M, const struct Frame &F,
-                    logic::Assignment &A) const;
+  /// Converts between interpreter assignments and slot form (tests, engine
+  /// construction and snapshots).
+  Frame packShared(const logic::Assignment &A) const;
+  logic::Assignment unpackShared(const Frame &F) const;
+  /// Locals of \p M bound from \p A; unbound slots are 0.
+  std::vector<int64_t> packLocals(const frontend::Method &M,
+                                  const logic::Assignment &A) const;
 
   const frontend::Monitor &monitor() const { return M; }
 
 private:
-  friend class Compiler;
   const frontend::Monitor &M;
   std::map<std::string, int> SharedSlots;            // scalar fields
   std::map<std::string, int> ArraySlots;             // array fields
   std::map<std::string, int> LocalSlots;             // "method::name"
   std::map<std::string, bool> SharedIsBool;
   size_t MaxLocalSlots = 0;
-};
-
-/// Mutable machine state: shared scalars/arrays plus one thread's locals.
-struct Frame {
-  std::vector<int64_t> Shared;
-  std::vector<std::map<int64_t, int64_t>> Arrays;
-  std::vector<int64_t> Locals;
 };
 
 /// Compiles an expression of \p M (or a field initializer when M is null).
@@ -122,8 +125,13 @@ Program compileExpr(const SlotLayout &L, const frontend::Expr *E,
 Program compileStmt(const SlotLayout &L, const frontend::Stmt *S,
                     const frontend::Method *M);
 
-/// Runs \p P on \p F; returns the top of stack (0 for statements).
-int64_t execute(const Program &P, Frame &F);
+/// Runs \p P on the shared state \p F and one thread's \p Locals, using
+/// \p Stack (at least P.MaxStack entries) as the operand stack. Returns the
+/// top of stack (0 for statements).
+int64_t execute(const Program &P, Frame &F, int64_t *Locals, int64_t *Stack);
+
+/// As above, on a stack of its own.
+int64_t execute(const Program &P, Frame &F, int64_t *Locals);
 
 } // namespace runtime
 } // namespace expresso

@@ -7,50 +7,119 @@
 
 #include "runtime/Engine.h"
 
+#include "runtime/Bytecode.h"
+
+#include <algorithm>
 #include <cassert>
 #include <condition_variable>
-#include <list>
-#include <map>
 #include <mutex>
-#include <set>
+#include <stdexcept>
 
 using namespace expresso;
 using namespace expresso::runtime;
 using namespace expresso::frontend;
 using logic::Assignment;
-using logic::Value;
 
 MonitorEngine::~MonitorEngine() = default;
 
 void MonitorEngine::call(const std::string &Method, Assignment Locals) {
   const frontend::Method *M = Sema.M->findMethod(Method);
-  assert(M && "unknown monitor method");
+  if (!M)
+    throw std::invalid_argument("unknown monitor method '" + Method + "' in " +
+                                Sema.M->Name);
   call(M, std::move(Locals));
 }
 
 namespace {
 
-/// A blocked thread's parking slot. Lives on the waiter's stack.
+/// One waituntil, compiled once per engine.
+struct CompiledCcr {
+  const WaitUntil *W = nullptr;
+  size_t Id = 0;      ///< dense position in the monitor's CCR order
+  unsigned Class = 0; ///< PredicateClass::Index of the guard
+  Program Guard;
+  Program Body;
+};
+
+/// One method: its CCRs and where the caller's arguments go.
+struct CompiledMethod {
+  std::vector<CompiledCcr> Ccrs;
+  /// Parameter name (owned by the AST) and its local slot.
+  std::vector<std::pair<const std::string *, size_t>> Params;
+};
+
+/// A blocked thread's parking slot. Lives on the waiter's stack and links
+/// into one WaitQueue.
 struct Waiter {
   std::condition_variable Cv;
   bool Notified = false;
-  const WaitUntil *W = nullptr;
-  const PredicateClass *Class = nullptr;
-  /// Placeholder-name -> value snapshot for conditional evaluation (§6).
-  Assignment ClassArgs;
-  /// The waiter's full locals, for AutoSynch-style guard re-evaluation.
-  const Assignment *Locals = nullptr;
+  /// The CCR the thread waits in. Its compiled guard over the waiter's
+  /// locals is the waiter's predicate instance: Sema builds the class's
+  /// canonical guard from that guard by renaming the class arguments, so
+  /// the two agree (§6).
+  const CompiledCcr *Ccr = nullptr;
+  int64_t *Locals = nullptr;
+  Waiter *Prev = nullptr;
+  Waiter *Next = nullptr;
 };
 
-/// Common machinery: lock, interpreted state, waiter bookkeeping.
+/// FIFO of parked waiters, linked through the waiters themselves.
+class WaitQueue {
+public:
+  Waiter *front() const { return Head; }
+
+  void pushBack(Waiter *W) {
+    W->Prev = Tail;
+    W->Next = nullptr;
+    (Tail ? Tail->Next : Head) = W;
+    Tail = W;
+  }
+
+  void erase(Waiter *W) {
+    (W->Prev ? W->Prev->Next : Head) = W->Next;
+    (W->Next ? W->Next->Prev : Tail) = W->Prev;
+  }
+
+  void clear() { Head = Tail = nullptr; }
+
+private:
+  Waiter *Head = nullptr;
+  Waiter *Tail = nullptr;
+};
+
+void notify(Waiter *W) {
+  W->Notified = true;
+  W->Cv.notify_one();
+}
+
+/// Common machinery: lock, slot-form state, compiled CCRs, waiter protocol.
 class EngineBase : public MonitorEngine {
 public:
   EngineBase(const SemaInfo &Sema, const Assignment &Overrides)
-      : MonitorEngine(Sema), Shared(initialState(*Sema.M, Overrides)) {}
+      : MonitorEngine(Sema), Layout(*Sema.M),
+        Shared(Layout.packShared(initialState(*Sema.M, Overrides))) {
+    size_t MaxStack = 0;
+    for (const Method &Me : Sema.M->Methods) {
+      CompiledMethod &CM = Methods.emplace_back();
+      for (const Param &P : Me.Params)
+        CM.Params.emplace_back(
+            &P.Name, static_cast<size_t>(Layout.localSlot(Me, P.Name)));
+      for (const WaitUntil &W : Me.Body) {
+        CompiledCcr &C = CM.Ccrs.emplace_back();
+        C.W = &W;
+        C.Id = NumCcrs++;
+        C.Class = Sema.info(&W).Class->Index;
+        C.Guard = compileExpr(Layout, W.Guard, &Me);
+        C.Body = compileStmt(Layout, W.Body, &Me);
+        MaxStack = std::max({MaxStack, C.Guard.MaxStack, C.Body.MaxStack});
+      }
+    }
+    Stack.resize(MaxStack);
+  }
 
   Assignment snapshot() override {
     std::unique_lock<std::mutex> L(Mtx);
-    return Shared;
+    return Layout.unpackShared(Shared);
   }
 
   EngineStats stats() override {
@@ -58,81 +127,87 @@ public:
     return Stats;
   }
 
-  void call(const Method *M, Assignment Locals) override {
+  void call(const Method *M, Assignment Args) override {
+    assert(M >= Sema.M->Methods.data() &&
+           M < Sema.M->Methods.data() + Sema.M->Methods.size() &&
+           "method of another monitor");
+    const CompiledMethod &CM =
+        Methods[static_cast<size_t>(M - Sema.M->Methods.data())];
+    // The thread's locals: on this stack frame unless the monitor has an
+    // unusually large method.
+    constexpr size_t InlineLocals = 16;
+    int64_t Inline[InlineLocals];
+    std::vector<int64_t> Spill;
+    int64_t *Locals = Inline;
+    if (Layout.numLocalSlots() > InlineLocals) {
+      Spill.resize(Layout.numLocalSlots());
+      Locals = Spill.data();
+    }
+    std::fill_n(Locals, Layout.numLocalSlots(), 0);
+    for (const auto &[Name, Slot] : CM.Params) {
+      auto It = Args.find(*Name);
+      if (It != Args.end())
+        Locals[Slot] = It->second.I;
+    }
+
     std::unique_lock<std::mutex> L(Mtx);
     ++Stats.Calls;
-    for (const WaitUntil &W : M->Body) {
-      awaitGuard(W, Locals, L);
-      Env E{&Shared, &Locals};
-      execStmt(W.Body, E);
-      afterBody(W, L);
+    for (const CompiledCcr &C : CM.Ccrs) {
+      awaitGuard(C, Locals, L);
+      execute(C.Body, Shared, Locals, Stack.data());
+      afterBody(C);
     }
   }
 
 protected:
-  /// Blocks until W's guard holds (monitor locked on entry and exit).
-  void awaitGuard(const WaitUntil &W, Assignment &Locals,
+  /// Blocks until C's guard holds (monitor locked on entry and exit).
+  void awaitGuard(const CompiledCcr &C, int64_t *Locals,
                   std::unique_lock<std::mutex> &L) {
-    Env E{&Shared, &Locals};
     bool FirstCheck = true;
     while (true) {
       ++Stats.PredicateEvals;
-      if (evalExpr(W.Guard, E).asBool())
+      if (execute(C.Guard, Shared, Locals, Stack.data()))
         break;
       if (!FirstCheck) {
         // Woken, but a racing thread consumed the resource first. Forward
         // the notification so the logical signal is not swallowed by a
         // waiter that can no longer use it.
         ++Stats.SpuriousWakeups;
-        forwardFailedWake(W);
+        forwardFailedWake(C);
       }
       FirstCheck = false;
       ++Stats.Blocks;
       Waiter Slot;
-      Slot.W = &W;
-      const CcrInfo &CI = Sema.info(&W);
-      Slot.Class = CI.Class;
-      // Snapshot the guard's local arguments for conditional signaling.
-      for (size_t K = 0; K < CI.Class->Placeholders.size(); ++K) {
-        const std::string &QualName = CI.ClassArgs[K]->varName();
-        std::string Plain = QualName.substr(QualName.find("::") + 2);
-        Slot.ClassArgs[CI.Class->Placeholders[K]->varName()] =
-            Locals.at(Plain);
-      }
-      Slot.Locals = &Locals;
+      Slot.Ccr = &C;
+      Slot.Locals = Locals;
       registerWaiter(&Slot);
       Slot.Cv.wait(L, [&] { return Slot.Notified; });
       ++Stats.Wakeups;
     }
-    guardPassed(W, L);
   }
 
   /// Hooks specialized per engine. All run with the monitor locked.
   virtual void registerWaiter(Waiter *W) = 0;
-  virtual void afterBody(const WaitUntil &W,
-                         std::unique_lock<std::mutex> &L) = 0;
-  virtual void guardPassed(const WaitUntil &W,
-                           std::unique_lock<std::mutex> &L) {
-    (void)W;
-    (void)L;
-  }
+  virtual void afterBody(const CompiledCcr &C) = 0;
   /// Called when a woken waiter finds its guard false again and is about to
   /// re-block: pass the notification to another eligible waiter.
-  virtual void forwardFailedWake(const WaitUntil &W) { (void)W; }
+  virtual void forwardFailedWake(const CompiledCcr &C) { (void)C; }
 
-  /// Evaluates a predicate class for a specific waiter (shared state plus
-  /// the waiter's class-argument snapshot).
-  bool classHolds(const PredicateClass *Q, const Waiter *Wt) {
+  /// Evaluates a parked waiter's predicate instance against the current
+  /// shared state.
+  bool waiterHolds(const Waiter *Wt) {
     ++Stats.PredicateEvals;
-    Assignment Asg = Shared;
-    if (Wt)
-      for (const auto &[Name, V] : Wt->ClassArgs)
-        Asg[Name] = V;
-    return logic::evaluateBool(Q->Canonical, Asg);
+    return execute(Wt->Ccr->Guard, Shared, Wt->Locals, Stack.data()) != 0;
   }
 
+  const SlotLayout Layout;
+  std::vector<CompiledMethod> Methods;
+  size_t NumCcrs = 0;
+
   std::mutex Mtx;
-  Assignment Shared;
+  Frame Shared;
+  /// The VM's operand stack; every program runs under Mtx.
+  std::vector<int64_t> Stack;
   EngineStats Stats;
 };
 
@@ -142,88 +217,98 @@ protected:
 
 class ExplicitEngine final : public EngineBase {
 public:
-  ExplicitEngine(const SemaInfo &Sema, SignalPlan Plan,
+  ExplicitEngine(const SemaInfo &Sema, const SignalPlan &Plan,
                  const Assignment &Overrides)
-      : EngineBase(Sema, Overrides), Plan(std::move(Plan)) {
+      : EngineBase(Sema, Overrides), LazyBroadcast(Plan.LazyBroadcast),
+        ClassWaiters(Sema.Classes.size()), Wakes(NumCcrs) {
     // Classes that receive a lazy broadcast need chain re-signaling after
     // every waituntil guarded by them (§6).
-    if (this->Plan.LazyBroadcast)
-      for (const auto &[W, Es] : this->Plan.Entries)
+    std::vector<bool> ChainClasses(Sema.Classes.size());
+    if (LazyBroadcast)
+      for (const auto &[W, Es] : Plan.Entries)
         for (const PlanEntry &E : Es)
           if (E.Broadcast)
-            ChainClasses.insert(E.Target);
+            ChainClasses[E.Target->Index] = true;
+    for (const CompiledMethod &CM : Methods)
+      for (const CompiledCcr &C : CM.Ccrs) {
+        CcrWakes &CW = Wakes[C.Id];
+        CW.Chain = ChainClasses[C.Class];
+        if (const auto *Es = Plan.entriesFor(C.W))
+          for (const PlanEntry &E : *Es)
+            CW.Entries.push_back({E.Target->Index, E.Conditional, E.Broadcast});
+      }
   }
 
   std::string name() const override { return "expresso-explicit"; }
 
 private:
+  /// A plan entry with its target resolved to a class index.
+  struct Wake {
+    unsigned Class;
+    bool Conditional;
+    bool Broadcast;
+  };
+  /// What to wake after one CCR's body.
+  struct CcrWakes {
+    bool Chain = false;
+    std::vector<Wake> Entries;
+  };
+
   void registerWaiter(Waiter *W) override {
-    ClassWaiters[W->Class].push_back(W);
+    ClassWaiters[W->Ccr->Class].pushBack(W);
   }
 
-  void afterBody(const WaitUntil &W, std::unique_lock<std::mutex> &L) override {
-    (void)L;
+  void afterBody(const CompiledCcr &C) override {
+    const CcrWakes &CW = Wakes[C.Id];
     // Lazy-broadcast chain (§6): `if (p) signal(p)` after every waituntil
     // whose guard class receives a lazy broadcast — the first woken thread
     // passes the wave on instead of one broadcaster waking everyone.
-    const CcrInfo &CI = Sema.info(&W);
-    if (ChainClasses.count(CI.Class))
-      wakeOne(CI.Class, /*CheckPredicate=*/true);
-    const auto *Entries = Plan.entriesFor(&W);
-    if (!Entries)
-      return;
-    for (const PlanEntry &E : *Entries) {
+    if (CW.Chain)
+      wakeOne(C.Class, /*CheckPredicate=*/true);
+    for (const Wake &E : CW.Entries) {
       if (E.Broadcast) {
-        if (Plan.LazyBroadcast)
-          wakeOne(E.Target, /*CheckPredicate=*/true);
+        if (LazyBroadcast)
+          wakeOne(E.Class, /*CheckPredicate=*/true);
         else
-          wakeAll(E.Target, E.Conditional);
+          wakeAll(E.Class, E.Conditional);
       } else {
-        wakeOne(E.Target, E.Conditional);
+        wakeOne(E.Class, E.Conditional);
       }
     }
   }
 
-  void wakeOne(const PredicateClass *Q, bool CheckPredicate) {
-    auto It = ClassWaiters.find(Q);
-    if (It == ClassWaiters.end())
-      return;
-    auto &Listing = It->second;
-    for (auto WIt = Listing.begin(); WIt != Listing.end(); ++WIt) {
-      Waiter *Wt = *WIt;
-      if (CheckPredicate && !classHolds(Q, Wt))
+  void wakeOne(unsigned Class, bool CheckPredicate) {
+    WaitQueue &Q = ClassWaiters[Class];
+    for (Waiter *Wt = Q.front(); Wt; Wt = Wt->Next) {
+      if (CheckPredicate && !waiterHolds(Wt))
         continue;
-      Wt->Notified = true;
-      Wt->Cv.notify_one();
-      Listing.erase(WIt);
+      Q.erase(Wt);
+      notify(Wt);
       return;
     }
   }
 
-  void wakeAll(const PredicateClass *Q, bool CheckPredicate) {
-    auto It = ClassWaiters.find(Q);
-    if (It == ClassWaiters.end())
-      return;
-    auto &Listing = It->second;
-    for (auto WIt = Listing.begin(); WIt != Listing.end();) {
-      Waiter *Wt = *WIt;
-      if (CheckPredicate && !classHolds(Q, Wt)) {
-        ++WIt;
-        continue;
+  void wakeAll(unsigned Class, bool CheckPredicate) {
+    WaitQueue &Q = ClassWaiters[Class];
+    for (Waiter *Wt = Q.front(); Wt;) {
+      Waiter *Next = Wt->Next;
+      if (!CheckPredicate || waiterHolds(Wt)) {
+        Q.erase(Wt);
+        notify(Wt);
       }
-      Wt->Notified = true;
-      Wt->Cv.notify_one();
-      WIt = Listing.erase(WIt);
+      Wt = Next;
     }
   }
 
-  void forwardFailedWake(const WaitUntil &W) override {
-    wakeOne(Sema.info(&W).Class, /*CheckPredicate=*/true);
+  void forwardFailedWake(const CompiledCcr &C) override {
+    wakeOne(C.Class, /*CheckPredicate=*/true);
   }
 
-  SignalPlan Plan;
-  std::map<const PredicateClass *, std::list<Waiter *>> ClassWaiters;
-  std::set<const PredicateClass *> ChainClasses;
+  bool LazyBroadcast;
+  /// Parked waiters per predicate class, indexed by PredicateClass::Index.
+  std::vector<WaitQueue> ClassWaiters;
+  /// Indexed by CompiledCcr::Id.
+  std::vector<CcrWakes> Wakes;
 };
 
 //===----------------------------------------------------------------------===//
@@ -238,16 +323,15 @@ public:
   std::string name() const override { return "autosynch"; }
 
 private:
-  void registerWaiter(Waiter *W) override { Waiters.push_back(W); }
+  void registerWaiter(Waiter *W) override { Waiters.pushBack(W); }
 
-  void afterBody(const WaitUntil &W, std::unique_lock<std::mutex> &L) override {
-    (void)W;
-    (void)L;
+  void afterBody(const CompiledCcr &C) override {
+    (void)C;
     scanAndWakeOne();
   }
 
-  void forwardFailedWake(const WaitUntil &W) override {
-    (void)W;
+  void forwardFailedWake(const CompiledCcr &C) override {
+    (void)C;
     scanAndWakeOne();
   }
 
@@ -255,20 +339,16 @@ private:
   /// the first satisfied one (FIFO). The cascade continues when that thread
   /// exits the monitor.
   void scanAndWakeOne() {
-    for (auto It = Waiters.begin(); It != Waiters.end(); ++It) {
-      Waiter *Wt = *It;
-      ++Stats.PredicateEvals;
-      Env E{&Shared, const_cast<Assignment *>(Wt->Locals)};
-      if (!evalExpr(Wt->W->Guard, E).asBool())
+    for (Waiter *Wt = Waiters.front(); Wt; Wt = Wt->Next) {
+      if (!waiterHolds(Wt))
         continue;
-      Wt->Notified = true;
-      Wt->Cv.notify_one();
-      Waiters.erase(It);
+      Waiters.erase(Wt);
+      notify(Wt);
       return;
     }
   }
 
-  std::list<Waiter *> Waiters;
+  WaitQueue Waiters;
 };
 
 //===----------------------------------------------------------------------===//
@@ -283,20 +363,20 @@ public:
   std::string name() const override { return "naive-broadcast"; }
 
 private:
-  void registerWaiter(Waiter *W) override { Waiters.push_back(W); }
+  void registerWaiter(Waiter *W) override { Waiters.pushBack(W); }
 
-  void afterBody(const WaitUntil &W, std::unique_lock<std::mutex> &L) override {
-    (void)W;
-    (void)L;
+  void afterBody(const CompiledCcr &C) override {
+    (void)C;
     // Wake everyone; they re-check their own guards (thundering herd).
-    for (Waiter *Wt : Waiters) {
-      Wt->Notified = true;
-      Wt->Cv.notify_one();
+    for (Waiter *Wt = Waiters.front(); Wt;) {
+      Waiter *Next = Wt->Next;
+      notify(Wt);
+      Wt = Next;
     }
     Waiters.clear();
   }
 
-  std::list<Waiter *> Waiters;
+  WaitQueue Waiters;
 };
 
 } // namespace
@@ -304,8 +384,7 @@ private:
 std::unique_ptr<MonitorEngine>
 runtime::createExplicitEngine(const SemaInfo &Sema, SignalPlan Plan,
                               const Assignment &ConfigOverrides) {
-  return std::make_unique<ExplicitEngine>(Sema, std::move(Plan),
-                                          ConfigOverrides);
+  return std::make_unique<ExplicitEngine>(Sema, Plan, ConfigOverrides);
 }
 
 std::unique_ptr<MonitorEngine>

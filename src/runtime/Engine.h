@@ -7,8 +7,10 @@
 ///
 /// \file
 /// Real-thread monitor execution. All engines share one substrate — a
-/// monitor mutex, interpreted guards/bodies, and FIFO per-waiter condition
-/// slots — and differ ONLY in when and whom they wake:
+/// monitor mutex, the monitor compiled once to slot-indexed bytecode
+/// (runtime/Bytecode.h: guard and body programs per CCR, shared state in
+/// one slot frame, parameters bound straight into local slots), and FIFO
+/// per-waiter condition slots — and differ ONLY in when and whom they wake:
 ///
 ///   * ExplicitEngine   executes a SignalPlan (Expresso output or a
 ///                      hand-written gold plan): the Figures 8/9 "Expresso"
@@ -22,9 +24,11 @@
 ///                      at 10-50x slowdowns) — used in ablations.
 ///
 /// The per-waiter condition slots give targeted wakeups (no thundering
-/// herd), FIFO fairness, and the §6 local-variable snapshots: a waiter's
-/// class-argument values are recorded so conditional signals can evaluate
-/// the blocked thread's predicate instance.
+/// herd), FIFO fairness, and the §6 local-variable snapshots: a parked
+/// waiter keeps its CCR's compiled guard and its own local slots, so a
+/// conditional signal evaluates the blocked thread's predicate instance
+/// (the class's canonical guard at the waiter's class arguments) without
+/// copying any state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,10 +60,12 @@ public:
   virtual ~MonitorEngine();
 
   /// Executes method \p M atomically with the given parameter values
-  /// (unqualified names). Blocks as dictated by the waituntil guards.
+  /// (unqualified names; entries that name no parameter are ignored).
+  /// Blocks as dictated by the waituntil guards.
   virtual void call(const frontend::Method *M, logic::Assignment Locals) = 0;
 
-  /// Convenience: look up the method by name.
+  /// Convenience: look up the method by name. Throws std::invalid_argument
+  /// when the monitor has no such method.
   void call(const std::string &Method, logic::Assignment Locals = {});
 
   /// Locked snapshot of the shared state.

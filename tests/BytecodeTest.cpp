@@ -10,6 +10,7 @@
 #include "bench/Workloads.h"
 #include "frontend/Interp.h"
 #include "frontend/Parser.h"
+#include "frontend/Sema.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -56,12 +57,10 @@ TEST(BytecodeTest, ArithmeticAndComparisons) {
         Env E{&IShared, &ILocals};
         execStmt(F->Body[0].Body, E);
         // VM.
-        Frame Fr;
-        L.packShared(Shared, Fr);
-        L.packLocals(*F, Locals, Fr);
-        execute(P, Fr);
-        Assignment VShared;
-        L.unpackShared(Fr, VShared);
+        Frame Fr = L.packShared(Shared);
+        std::vector<int64_t> VLocals = L.packLocals(*F, Locals);
+        execute(P, Fr, VLocals.data());
+        Assignment VShared = L.unpackShared(Fr);
         EXPECT_EQ(VShared.at("ok").asBool(), IShared.at("ok").asBool())
             << "a=" << A << " b=" << B << " x=" << X << "\n"
             << P.str();
@@ -83,11 +82,10 @@ TEST(BytecodeTest, ShortCircuitSkipsRhs) {
   SlotLayout L(*M);
   const Method *F = M->findMethod("f");
   Program P = compileStmt(L, F->Body[0].Body, F);
-  Frame Fr;
-  L.packShared({{"a", Value::ofInt(0)}, {"ok", Value::ofBool(true)}}, Fr);
-  execute(P, Fr);
-  Assignment Out;
-  L.unpackShared(Fr, Out);
+  Frame Fr =
+      L.packShared({{"a", Value::ofInt(0)}, {"ok", Value::ofBool(true)}});
+  execute(P, Fr, nullptr);
+  Assignment Out = L.unpackShared(Fr);
   EXPECT_FALSE(Out.at("ok").asBool());
 }
 
@@ -105,20 +103,36 @@ TEST(BytecodeTest, LoopsAndArrays) {
   )");
   SlotLayout L(*M);
   const Method *F = M->findMethod("setAll");
-  Frame Fr;
-  L.packShared(initialState(*M), Fr);
-  L.packLocals(*F, {{"k", Value::ofInt(4)}}, Fr);
+  Frame Fr = L.packShared(initialState(*M));
+  std::vector<int64_t> Locals = L.packLocals(*F, {{"k", Value::ofInt(4)}});
   for (const WaitUntil &W : F->Body)
-    execute(compileStmt(L, W.Body, F), Fr);
-  Assignment Out;
-  L.unpackShared(Fr, Out);
+    execute(compileStmt(L, W.Body, F), Fr, Locals.data());
+  Assignment Out = L.unpackShared(Fr);
   EXPECT_EQ(Out.at("n").asInt(), 4);
   EXPECT_EQ(Out.at("forks").arrayAt(3), 1);
   EXPECT_EQ(Out.at("forks").arrayAt(4), 0);
 }
 
+/// Runs \p P with canaries above its recorded stack depth; a run that
+/// pushes deeper than Program::MaxStack overwrites one.
+int64_t executeChecked(const Program &P, Frame &Fr,
+                       std::vector<int64_t> &Locals) {
+  constexpr int64_t Canary = 0x5eed5eed5eed5eed;
+  std::vector<int64_t> Stack(P.MaxStack + 8, Canary);
+  int64_t Result = execute(P, Fr, Locals.data(), Stack.data());
+  for (size_t I = P.MaxStack; I < Stack.size(); ++I)
+    EXPECT_EQ(Stack[I], Canary)
+        << "stack slot " << I << " used past MaxStack " << P.MaxStack << "\n"
+        << P.str();
+  return Result;
+}
+
 /// Differential sweep: for every benchmark monitor, compiled guards and
-/// bodies agree with the tree-walking interpreter on randomized states.
+/// bodies agree with the tree-walking interpreter on randomized states;
+/// every compiled guard, run over the waiter's local slots, agrees with its
+/// predicate class's canonical guard at the CCR's class arguments (the
+/// engines' conditional-signal check); and no run goes deeper than its
+/// program's recorded stack depth.
 class BytecodeDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BytecodeDifferentialTest, AgreesWithInterpreterOnBenchmarks) {
@@ -126,6 +140,10 @@ TEST_P(BytecodeDifferentialTest, AgreesWithInterpreterOnBenchmarks) {
   const bench::BenchmarkDef &Def =
       All[static_cast<size_t>(GetParam()) % All.size()];
   auto M = parse(Def.Source.c_str());
+  logic::TermContext C;
+  DiagnosticEngine Diags;
+  auto Sema = analyze(*M, C, Diags);
+  ASSERT_NE(Sema, nullptr) << Diags.str();
   SlotLayout L(*M);
   Rng R(static_cast<uint64_t>(GetParam()) * 40503 + 11);
 
@@ -181,21 +199,32 @@ TEST_P(BytecodeDifferentialTest, AgreesWithInterpreterOnBenchmarks) {
         Assignment IShared = Shared, ILocals = Locals;
         Env E{&IShared, &ILocals};
         bool IGuard = evalExpr(W.Guard, E).asBool();
-        Frame Fr;
-        L.packShared(Shared, Fr);
-        L.packLocals(Me, Locals, Fr);
-        bool VGuard = execute(GuardP, Fr) != 0;
+        Frame Fr = L.packShared(Shared);
+        std::vector<int64_t> VLocals = L.packLocals(Me, Locals);
+        bool VGuard = executeChecked(GuardP, Fr, VLocals) != 0;
         ASSERT_EQ(VGuard, IGuard)
             << Def.Name << " " << Me.Name << " guard\n"
+            << GuardP.str();
+
+        // Class check: Shared plus each placeholder bound to the value of
+        // the CCR's class argument at that position.
+        const CcrInfo &CI = Sema->info(&W);
+        Assignment ClassAsg = Shared;
+        for (size_t K = 0; K < CI.ClassArgs.size(); ++K) {
+          const std::string &Qual = CI.ClassArgs[K]->varName();
+          ClassAsg[CI.Class->Placeholders[K]->varName()] =
+              Locals.at(Qual.substr(Qual.find("::") + 2));
+        }
+        ASSERT_EQ(VGuard, logic::evaluateBool(CI.Class->Canonical, ClassAsg))
+            << Def.Name << " " << Me.Name << " class check\n"
             << GuardP.str();
 
         // Body comparison (only when the guard holds, as at run time).
         if (!IGuard)
           continue;
         execStmt(W.Body, E);
-        execute(BodyP, Fr);
-        Assignment VShared;
-        L.unpackShared(Fr, VShared);
+        executeChecked(BodyP, Fr, VLocals);
+        Assignment VShared = L.unpackShared(Fr);
         for (const auto &[Name, V] : IShared) {
           if (V.S == logic::Sort::Int || V.S == logic::Sort::Bool) {
             ASSERT_EQ(VShared.at(Name).I, V.I)

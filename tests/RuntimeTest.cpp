@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 using namespace expresso;
@@ -121,6 +122,108 @@ TEST(RuntimeTest, StatsCountBlocksAndWakeups) {
   EXPECT_GE(S.Wakeups, 1u);
   EXPECT_EQ(S.Calls, 3u);
   E->call("exitWriter");
+}
+
+TEST(RuntimeTest, UnknownMethodThrowsInEveryBuild) {
+  RWFixture F;
+  std::unique_ptr<MonitorEngine> Engines[] = {
+      createExplicitEngine(*F.Sema, SignalPlan::fromPlacement(F.Placement)),
+      createAutoSynchEngine(*F.Sema), createNaiveEngine(*F.Sema)};
+  for (auto &E : Engines) {
+    EXPECT_THROW(E->call("enterReaderz"), std::invalid_argument) << E->name();
+    // The failed lookup left the monitor usable.
+    E->call("enterReader");
+    EXPECT_EQ(E->snapshot().at("readers").asInt(), 1) << E->name();
+  }
+}
+
+/// Polls until \p E has parked \p N threads in total.
+void waitForBlocks(MonitorEngine &E, uint64_t N) {
+  while (E.stats().Blocks < N)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+// The counters' definitions are pinned by exact values, recorded from the
+// tree-walking engines these replaced: one PredicateEvals per guard
+// evaluation, whether at entry, after a wakeup, or in a conditional wake.
+TEST(RuntimeTest, ScriptedSequenceCountsAreExact) {
+  struct Expected {
+    EngineKind Kind;
+    uint64_t Calls, PredicateEvals;
+  };
+  for (const Expected &X : {Expected{EngineKind::Explicit, 14, 25},
+                            Expected{EngineKind::AutoSynch, 14, 25},
+                            Expected{EngineKind::Naive, 14, 25}}) {
+    const BenchmarkDef *Rw = findBenchmark("TicketedRW");
+    const BenchmarkDef *Dp = findBenchmark("DiningPhilosophers");
+    ASSERT_NE(Rw, nullptr);
+    ASSERT_NE(Dp, nullptr);
+    BenchContext RwCtx(*Rw, core::PlacementOptions());
+    BenchContext DpCtx(*Dp, core::PlacementOptions());
+    auto R = RwCtx.makeEngine(X.Kind, 1);
+    for (const char *Method : {"enterReader", "enterReader", "exitReader",
+                               "exitReader", "enterWriter", "exitWriter",
+                               "enterReader", "exitReader"})
+      R->call(Method);
+    Assignment Out = R->snapshot();
+    EXPECT_EQ(Out.at("nextTicket").asInt(), 4);
+    EXPECT_EQ(Out.at("nowServing").asInt(), 4);
+    EXPECT_EQ(Out.at("readers").asInt(), 0);
+
+    auto D = DpCtx.makeEngine(X.Kind, 5);
+    auto forks = [](int64_t L, int64_t Rt) {
+      return Assignment{{"left", Value::ofInt(L)}, {"right", Value::ofInt(Rt)}};
+    };
+    D->call("pickup", forks(0, 1));
+    D->call("pickup", forks(2, 3));
+    D->call("putdown", forks(0, 1));
+    D->call("pickup", forks(4, 0));
+    D->call("putdown", forks(2, 3));
+    D->call("putdown", forks(4, 0));
+    Out = D->snapshot();
+    for (int64_t I = 0; I < 5; ++I)
+      EXPECT_EQ(Out.at("forks").arrayAt(I), 0) << I;
+
+    EngineStats RS = R->stats(), DS = D->stats();
+    EXPECT_EQ(RS.Calls + DS.Calls, X.Calls) << engineKindName(X.Kind);
+    EXPECT_EQ(RS.PredicateEvals + DS.PredicateEvals, X.PredicateEvals)
+        << engineKindName(X.Kind);
+    EXPECT_EQ(RS.Blocks + DS.Blocks, 0u);
+    EXPECT_EQ(RS.Wakeups + DS.Wakeups, 0u);
+  }
+}
+
+// A writer parked behind two readers: the first exitReader's conditional
+// wake (or AutoSynch's scan) checks the writer's predicate and finds it
+// false, the second finds it true. Each step leaves one runnable thread,
+// so the counts are exact. NaiveEngine is left out: its broadcast at the
+// first exitReader races the second.
+TEST(RuntimeTest, ParkedWaiterCountsAreExact) {
+  struct Expected {
+    EngineKind Kind;
+    uint64_t Calls, Blocks, Wakeups, PredicateEvals;
+  };
+  for (const Expected &X : {Expected{EngineKind::Expresso, 6, 1, 1, 9},
+                            Expected{EngineKind::AutoSynch, 6, 1, 1, 9}}) {
+    const BenchmarkDef *Def = findBenchmark("ReadersWriters");
+    ASSERT_NE(Def, nullptr);
+    BenchContext Ctx(*Def, core::PlacementOptions());
+    auto E = Ctx.makeEngine(X.Kind, 2);
+    E->call("enterReader");
+    E->call("enterReader");
+    std::thread Writer([&] { E->call("enterWriter"); });
+    waitForBlocks(*E, 1);
+    E->call("exitReader");
+    E->call("exitReader");
+    Writer.join();
+    E->call("exitWriter");
+    EngineStats S = E->stats();
+    EXPECT_EQ(S.Calls, X.Calls) << engineKindName(X.Kind);
+    EXPECT_EQ(S.Blocks, X.Blocks) << engineKindName(X.Kind);
+    EXPECT_EQ(S.Wakeups, X.Wakeups) << engineKindName(X.Kind);
+    EXPECT_EQ(S.SpuriousWakeups, 0u) << engineKindName(X.Kind);
+    EXPECT_EQ(S.PredicateEvals, X.PredicateEvals) << engineKindName(X.Kind);
+  }
 }
 
 //===----------------------------------------------------------------------===//
