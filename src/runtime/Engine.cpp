@@ -32,13 +32,23 @@ void MonitorEngine::call(const std::string &Method, Assignment Locals) {
 
 namespace {
 
+/// A plan entry with its target resolved to a class index.
+struct Wake {
+  unsigned Class;
+  bool Conditional;
+  bool Broadcast;
+};
+
 /// One waituntil, compiled once per engine.
 struct CompiledCcr {
   const WaitUntil *W = nullptr;
-  size_t Id = 0;      ///< dense position in the monitor's CCR order
   unsigned Class = 0; ///< PredicateClass::Index of the guard
   Program Guard;
   Program Body;
+  /// ExplicitEngine only: whether the guard's class gets the lazy-broadcast
+  /// chain wake, and the plan's wakes after the body.
+  bool Chain = false;
+  std::vector<Wake> Wakes;
 };
 
 /// One method: its CCRs and where the caller's arguments go.
@@ -107,7 +117,6 @@ public:
       for (const WaitUntil &W : Me.Body) {
         CompiledCcr &C = CM.Ccrs.emplace_back();
         C.W = &W;
-        C.Id = NumCcrs++;
         C.Class = Sema.info(&W).Class->Index;
         C.Guard = compileExpr(Layout, W.Guard, &Me);
         C.Body = compileStmt(Layout, W.Body, &Me);
@@ -202,7 +211,6 @@ protected:
 
   const SlotLayout Layout;
   std::vector<CompiledMethod> Methods;
-  size_t NumCcrs = 0;
 
   std::mutex Mtx;
   Frame Shared;
@@ -220,7 +228,7 @@ public:
   ExplicitEngine(const SemaInfo &Sema, const SignalPlan &Plan,
                  const Assignment &Overrides)
       : EngineBase(Sema, Overrides), LazyBroadcast(Plan.LazyBroadcast),
-        ClassWaiters(Sema.Classes.size()), Wakes(NumCcrs) {
+        ClassWaiters(Sema.Classes.size()) {
     // Classes that receive a lazy broadcast need chain re-signaling after
     // every waituntil guarded by them (§6).
     std::vector<bool> ChainClasses(Sema.Classes.size());
@@ -229,43 +237,29 @@ public:
         for (const PlanEntry &E : Es)
           if (E.Broadcast)
             ChainClasses[E.Target->Index] = true;
-    for (const CompiledMethod &CM : Methods)
-      for (const CompiledCcr &C : CM.Ccrs) {
-        CcrWakes &CW = Wakes[C.Id];
-        CW.Chain = ChainClasses[C.Class];
+    for (CompiledMethod &CM : Methods)
+      for (CompiledCcr &C : CM.Ccrs) {
+        C.Chain = ChainClasses[C.Class];
         if (const auto *Es = Plan.entriesFor(C.W))
           for (const PlanEntry &E : *Es)
-            CW.Entries.push_back({E.Target->Index, E.Conditional, E.Broadcast});
+            C.Wakes.push_back({E.Target->Index, E.Conditional, E.Broadcast});
       }
   }
 
   std::string name() const override { return "expresso-explicit"; }
 
 private:
-  /// A plan entry with its target resolved to a class index.
-  struct Wake {
-    unsigned Class;
-    bool Conditional;
-    bool Broadcast;
-  };
-  /// What to wake after one CCR's body.
-  struct CcrWakes {
-    bool Chain = false;
-    std::vector<Wake> Entries;
-  };
-
   void registerWaiter(Waiter *W) override {
     ClassWaiters[W->Ccr->Class].pushBack(W);
   }
 
   void afterBody(const CompiledCcr &C) override {
-    const CcrWakes &CW = Wakes[C.Id];
     // Lazy-broadcast chain (§6): `if (p) signal(p)` after every waituntil
     // whose guard class receives a lazy broadcast — the first woken thread
     // passes the wave on instead of one broadcaster waking everyone.
-    if (CW.Chain)
+    if (C.Chain)
       wakeOne(C.Class, /*CheckPredicate=*/true);
-    for (const Wake &E : CW.Entries) {
+    for (const Wake &E : C.Wakes) {
       if (E.Broadcast) {
         if (LazyBroadcast)
           wakeOne(E.Class, /*CheckPredicate=*/true);
@@ -307,8 +301,6 @@ private:
   bool LazyBroadcast;
   /// Parked waiters per predicate class, indexed by PredicateClass::Index.
   std::vector<WaitQueue> ClassWaiters;
-  /// Indexed by CompiledCcr::Id.
-  std::vector<CcrWakes> Wakes;
 };
 
 //===----------------------------------------------------------------------===//
