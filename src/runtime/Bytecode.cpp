@@ -483,15 +483,6 @@ int64_t runtime::execute(const Program &P, Frame &F, int64_t *Locals,
   }
 }
 
-int64_t runtime::execute(const Program &P, Frame &F, int64_t *Locals) {
-  constexpr size_t InlineDepth = 32;
-  int64_t Inline[InlineDepth];
-  if (P.MaxStack <= InlineDepth)
-    return execute(P, F, Locals, Inline);
-  std::vector<int64_t> Stack(P.MaxStack);
-  return execute(P, F, Locals, Stack.data());
-}
-
 //===----------------------------------------------------------------------===//
 // Disassembly
 //===----------------------------------------------------------------------===//

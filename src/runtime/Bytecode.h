@@ -130,9 +130,6 @@ Program compileStmt(const SlotLayout &L, const frontend::Stmt *S,
 /// top of stack (0 for statements).
 int64_t execute(const Program &P, Frame &F, int64_t *Locals, int64_t *Stack);
 
-/// As above, on a stack of its own.
-int64_t execute(const Program &P, Frame &F, int64_t *Locals);
-
 } // namespace runtime
 } // namespace expresso
 

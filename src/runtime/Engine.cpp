@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
+#include <list>
 #include <mutex>
 #include <stdexcept>
 
@@ -32,13 +33,6 @@ void MonitorEngine::call(const std::string &Method, Assignment Locals) {
 
 namespace {
 
-/// A plan entry with its target resolved to a class index.
-struct Wake {
-  unsigned Class;
-  bool Conditional;
-  bool Broadcast;
-};
-
 /// One waituntil, compiled once per engine.
 struct CompiledCcr {
   const WaitUntil *W = nullptr;
@@ -48,7 +42,7 @@ struct CompiledCcr {
   /// ExplicitEngine only: whether the guard's class gets the lazy-broadcast
   /// chain wake, and the plan's wakes after the body.
   bool Chain = false;
-  std::vector<Wake> Wakes;
+  std::vector<PlanEntry> Wakes;
 };
 
 /// One method: its CCRs and where the caller's arguments go.
@@ -58,8 +52,7 @@ struct CompiledMethod {
   std::vector<std::pair<const std::string *, size_t>> Params;
 };
 
-/// A blocked thread's parking slot. Lives on the waiter's stack and links
-/// into one WaitQueue.
+/// A blocked thread's parking slot. Lives on the waiter's stack.
 struct Waiter {
   std::condition_variable Cv;
   bool Notified = false;
@@ -69,32 +62,6 @@ struct Waiter {
   /// the two agree (§6).
   const CompiledCcr *Ccr = nullptr;
   int64_t *Locals = nullptr;
-  Waiter *Prev = nullptr;
-  Waiter *Next = nullptr;
-};
-
-/// FIFO of parked waiters, linked through the waiters themselves.
-class WaitQueue {
-public:
-  Waiter *front() const { return Head; }
-
-  void pushBack(Waiter *W) {
-    W->Prev = Tail;
-    W->Next = nullptr;
-    (Tail ? Tail->Next : Head) = W;
-    Tail = W;
-  }
-
-  void erase(Waiter *W) {
-    (W->Prev ? W->Prev->Next : Head) = W->Next;
-    (W->Next ? W->Next->Prev : Tail) = W->Prev;
-  }
-
-  void clear() { Head = Tail = nullptr; }
-
-private:
-  Waiter *Head = nullptr;
-  Waiter *Tail = nullptr;
 };
 
 void notify(Waiter *W) {
@@ -241,8 +208,7 @@ public:
       for (CompiledCcr &C : CM.Ccrs) {
         C.Chain = ChainClasses[C.Class];
         if (const auto *Es = Plan.entriesFor(C.W))
-          for (const PlanEntry &E : *Es)
-            C.Wakes.push_back({E.Target->Index, E.Conditional, E.Broadcast});
+          C.Wakes = *Es;
       }
   }
 
@@ -250,7 +216,7 @@ public:
 
 private:
   void registerWaiter(Waiter *W) override {
-    ClassWaiters[W->Ccr->Class].pushBack(W);
+    ClassWaiters[W->Ccr->Class].push_back(W);
   }
 
   void afterBody(const CompiledCcr &C) override {
@@ -259,38 +225,39 @@ private:
     // passes the wave on instead of one broadcaster waking everyone.
     if (C.Chain)
       wakeOne(C.Class, /*CheckPredicate=*/true);
-    for (const Wake &E : C.Wakes) {
+    for (const PlanEntry &E : C.Wakes) {
+      unsigned Target = E.Target->Index;
       if (E.Broadcast) {
         if (LazyBroadcast)
-          wakeOne(E.Class, /*CheckPredicate=*/true);
+          wakeOne(Target, /*CheckPredicate=*/true);
         else
-          wakeAll(E.Class, E.Conditional);
+          wakeAll(Target, E.Conditional);
       } else {
-        wakeOne(E.Class, E.Conditional);
+        wakeOne(Target, E.Conditional);
       }
     }
   }
 
   void wakeOne(unsigned Class, bool CheckPredicate) {
-    WaitQueue &Q = ClassWaiters[Class];
-    for (Waiter *Wt = Q.front(); Wt; Wt = Wt->Next) {
-      if (CheckPredicate && !waiterHolds(Wt))
+    auto &Listing = ClassWaiters[Class];
+    for (auto WIt = Listing.begin(); WIt != Listing.end(); ++WIt) {
+      if (CheckPredicate && !waiterHolds(*WIt))
         continue;
-      Q.erase(Wt);
-      notify(Wt);
+      notify(*WIt);
+      Listing.erase(WIt);
       return;
     }
   }
 
   void wakeAll(unsigned Class, bool CheckPredicate) {
-    WaitQueue &Q = ClassWaiters[Class];
-    for (Waiter *Wt = Q.front(); Wt;) {
-      Waiter *Next = Wt->Next;
-      if (!CheckPredicate || waiterHolds(Wt)) {
-        Q.erase(Wt);
-        notify(Wt);
+    auto &Listing = ClassWaiters[Class];
+    for (auto WIt = Listing.begin(); WIt != Listing.end();) {
+      if (CheckPredicate && !waiterHolds(*WIt)) {
+        ++WIt;
+        continue;
       }
-      Wt = Next;
+      notify(*WIt);
+      WIt = Listing.erase(WIt);
     }
   }
 
@@ -300,7 +267,7 @@ private:
 
   bool LazyBroadcast;
   /// Parked waiters per predicate class, indexed by PredicateClass::Index.
-  std::vector<WaitQueue> ClassWaiters;
+  std::vector<std::list<Waiter *>> ClassWaiters;
 };
 
 //===----------------------------------------------------------------------===//
@@ -315,7 +282,7 @@ public:
   std::string name() const override { return "autosynch"; }
 
 private:
-  void registerWaiter(Waiter *W) override { Waiters.pushBack(W); }
+  void registerWaiter(Waiter *W) override { Waiters.push_back(W); }
 
   void afterBody(const CompiledCcr &C) override {
     (void)C;
@@ -331,16 +298,16 @@ private:
   /// the first satisfied one (FIFO). The cascade continues when that thread
   /// exits the monitor.
   void scanAndWakeOne() {
-    for (Waiter *Wt = Waiters.front(); Wt; Wt = Wt->Next) {
-      if (!waiterHolds(Wt))
+    for (auto It = Waiters.begin(); It != Waiters.end(); ++It) {
+      if (!waiterHolds(*It))
         continue;
-      Waiters.erase(Wt);
-      notify(Wt);
+      notify(*It);
+      Waiters.erase(It);
       return;
     }
   }
 
-  WaitQueue Waiters;
+  std::list<Waiter *> Waiters;
 };
 
 //===----------------------------------------------------------------------===//
@@ -355,20 +322,17 @@ public:
   std::string name() const override { return "naive-broadcast"; }
 
 private:
-  void registerWaiter(Waiter *W) override { Waiters.pushBack(W); }
+  void registerWaiter(Waiter *W) override { Waiters.push_back(W); }
 
   void afterBody(const CompiledCcr &C) override {
     (void)C;
     // Wake everyone; they re-check their own guards (thundering herd).
-    for (Waiter *Wt = Waiters.front(); Wt;) {
-      Waiter *Next = Wt->Next;
+    for (Waiter *Wt : Waiters)
       notify(Wt);
-      Wt = Next;
-    }
     Waiters.clear();
   }
 
-  WaitQueue Waiters;
+  std::list<Waiter *> Waiters;
 };
 
 } // namespace

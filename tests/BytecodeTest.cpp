@@ -30,6 +30,20 @@ std::unique_ptr<Monitor> parse(const char *Source) {
   return M;
 }
 
+/// Runs \p P with canaries above its recorded stack depth; a run that
+/// pushes deeper than Program::MaxStack overwrites one.
+int64_t executeChecked(const Program &P, Frame &Fr,
+                       std::vector<int64_t> &Locals) {
+  constexpr int64_t Canary = 0x5eed5eed5eed5eed;
+  std::vector<int64_t> Stack(P.MaxStack + 8, Canary);
+  int64_t Result = execute(P, Fr, Locals.data(), Stack.data());
+  for (size_t I = P.MaxStack; I < Stack.size(); ++I)
+    EXPECT_EQ(Stack[I], Canary)
+        << "stack slot " << I << " used past MaxStack " << P.MaxStack << "\n"
+        << P.str();
+  return Result;
+}
+
 TEST(BytecodeTest, ArithmeticAndComparisons) {
   auto M = parse(R"(
     monitor T {
@@ -59,7 +73,7 @@ TEST(BytecodeTest, ArithmeticAndComparisons) {
         // VM.
         Frame Fr = L.packShared(Shared);
         std::vector<int64_t> VLocals = L.packLocals(*F, Locals);
-        execute(P, Fr, VLocals.data());
+        executeChecked(P, Fr, VLocals);
         Assignment VShared = L.unpackShared(Fr);
         EXPECT_EQ(VShared.at("ok").asBool(), IShared.at("ok").asBool())
             << "a=" << A << " b=" << B << " x=" << X << "\n"
@@ -84,7 +98,8 @@ TEST(BytecodeTest, ShortCircuitSkipsRhs) {
   Program P = compileStmt(L, F->Body[0].Body, F);
   Frame Fr =
       L.packShared({{"a", Value::ofInt(0)}, {"ok", Value::ofBool(true)}});
-  execute(P, Fr, nullptr);
+  std::vector<int64_t> Locals = L.packLocals(*F, {});
+  executeChecked(P, Fr, Locals);
   Assignment Out = L.unpackShared(Fr);
   EXPECT_FALSE(Out.at("ok").asBool());
 }
@@ -106,25 +121,11 @@ TEST(BytecodeTest, LoopsAndArrays) {
   Frame Fr = L.packShared(initialState(*M));
   std::vector<int64_t> Locals = L.packLocals(*F, {{"k", Value::ofInt(4)}});
   for (const WaitUntil &W : F->Body)
-    execute(compileStmt(L, W.Body, F), Fr, Locals.data());
+    executeChecked(compileStmt(L, W.Body, F), Fr, Locals);
   Assignment Out = L.unpackShared(Fr);
   EXPECT_EQ(Out.at("n").asInt(), 4);
   EXPECT_EQ(Out.at("forks").arrayAt(3), 1);
   EXPECT_EQ(Out.at("forks").arrayAt(4), 0);
-}
-
-/// Runs \p P with canaries above its recorded stack depth; a run that
-/// pushes deeper than Program::MaxStack overwrites one.
-int64_t executeChecked(const Program &P, Frame &Fr,
-                       std::vector<int64_t> &Locals) {
-  constexpr int64_t Canary = 0x5eed5eed5eed5eed;
-  std::vector<int64_t> Stack(P.MaxStack + 8, Canary);
-  int64_t Result = execute(P, Fr, Locals.data(), Stack.data());
-  for (size_t I = P.MaxStack; I < Stack.size(); ++I)
-    EXPECT_EQ(Stack[I], Canary)
-        << "stack slot " << I << " used past MaxStack " << P.MaxStack << "\n"
-        << P.str();
-  return Result;
 }
 
 /// Differential sweep: for every benchmark monitor, compiled guards and
