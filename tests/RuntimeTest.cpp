@@ -143,9 +143,9 @@ void waitForBlocks(MonitorEngine &E, uint64_t N) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
-// The counters' definitions are pinned by exact values, recorded from the
-// tree-walking engines these replaced: one PredicateEvals per guard
-// evaluation, whether at entry, after a wakeup, or in a conditional wake.
+// Exact counts pin the counters' definitions: one Calls per call, and one
+// PredicateEvals per guard evaluation, whether at entry, after a wakeup, or
+// in a conditional wake.
 TEST(RuntimeTest, ScriptedSequenceCountsAreExact) {
   struct Expected {
     EngineKind Kind;
