@@ -281,6 +281,66 @@ TEST(ServiceTest, PlaceResponseRoundTripsAndRejectsTruncation) {
   }
 }
 
+/// Pins the response layout byte for byte: every field carries a distinct
+/// non-zero value (counters above 127 so each is a two-byte varint), so a
+/// codec that reorders two fields in both encode and decode — which a
+/// round trip cannot notice — fails here.
+TEST(ServiceTest, PlaceResponseWireBytesAreGolden) {
+  PlaceResponse R;
+  R.Status = ResponseStatus::DeadlineExceeded;
+  R.Error = "err";
+  R.Artifact = "art";
+  R.DecisionSummary = "sig";
+  R.SolverName = "mini";
+  R.HoareChecks = 201;
+  R.SolverQueries = 202;
+  R.CacheHits = 203;
+  R.CacheMisses = 204;
+  R.SharedHits = 205;
+  R.SharedMisses = 206;
+  R.PairsConsidered = 207;
+  R.NoSignalProved = 208;
+  R.Signals = 209;
+  R.Broadcasts = 210;
+  R.Unconditional = 211;
+  R.CommutativityWins = 212;
+  R.AnalysisSeconds = 1.5;
+  R.InvariantSeconds = 0.25;
+  R.QueueSeconds = 0.125;
+  R.JobsUsed = 3;
+  R.Replayed = true;
+  R.StoreSkipped = true;
+  R.TraceId = 300;
+  R.TraceJson = "{}";
+
+  const std::vector<uint8_t> Golden = {
+      0x07,                                     // status
+      0x03, 'e',  'r',  'r',                    // error
+      0x03, 'a',  'r',  't',                    // artifact
+      0x03, 's',  'i',  'g',                    // decision summary
+      0x04, 'm',  'i',  'n',  'i',              // solver name
+      0xc9, 0x01, 0xca, 0x01, 0xcb, 0x01, 0xcc, 0x01, // hoare .. cache misses
+      0xcd, 0x01, 0xce, 0x01, 0xcf, 0x01, 0xd0, 0x01, // shared .. no-signal
+      0xd1, 0x01, 0xd2, 0x01, 0xd3, 0x01, 0xd4, 0x01, // signals .. §4.3 wins
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, // analysis 1.5 s
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, // invariant 0.25 s
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, // queue 0.125 s
+      0x03,                                     // jobs used
+      0x01, 0x01,                               // replayed, store skipped
+      0xac, 0x02,                               // trace id 300
+      0x02, '{',  '}',                          // trace JSON
+  };
+  std::vector<uint8_t> Bytes;
+  R.encode(Bytes);
+  EXPECT_EQ(Bytes, Golden);
+
+  PlaceResponse Out;
+  ASSERT_TRUE(PlaceResponse::decode(Golden.data(), Golden.size(), Out));
+  std::vector<uint8_t> Again;
+  Out.encode(Again);
+  EXPECT_EQ(Again, Golden);
+}
+
 TEST(ServiceTest, StatusAndShutdownRoundTrip) {
   StatusResponse S;
   S.RequestsServed = 5;
