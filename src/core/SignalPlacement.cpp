@@ -100,6 +100,21 @@ std::string PlacementResult::summary() const {
   return OS.str();
 }
 
+PlacementCounts PlacementStats::counts() const {
+  return {.HoareChecks = HoareChecks,
+          .SolverQueries = SolverQueries,
+          .CacheHits = Cache.Hits,
+          .CacheMisses = Cache.Misses,
+          .SharedHits = Cache.DiskHits,
+          .SharedMisses = Cache.DiskMisses,
+          .PairsConsidered = PairsConsidered,
+          .NoSignalProved = NoSignalProved,
+          .Signals = Signals,
+          .Broadcasts = Broadcasts,
+          .Unconditional = Unconditional,
+          .CommutativityWins = CommutativityWins};
+}
+
 namespace {
 
 /// The outcome of one (w, p) pair: whether a decision is emitted, the

@@ -32,6 +32,7 @@
 #define EXPRESSO_CORE_SIGNALPLACEMENT_H
 
 #include "analysis/Invariants.h"
+#include "core/PlacementCounts.h"
 #include "frontend/Sema.h"
 #include "solver/CachingSolver.h"
 #include "solver/SolverFactory.h"
@@ -131,6 +132,10 @@ struct PlacementStats {
   bool IncrementalSessions = false;
   unsigned JobsUsed = 1;             ///< worker threads the fan-out ran with
   std::vector<WorkerStats> Workers;  ///< per-worker accounting (empty when serial)
+
+  /// The counters under their one declaration; Cache.Hits/Misses become
+  /// CacheHits/Misses and Cache.DiskHits/DiskMisses the Shared pair.
+  PlacementCounts counts() const;
 };
 
 /// The output of PlaceSignals: Σ plus provenance.

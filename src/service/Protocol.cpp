@@ -118,18 +118,8 @@ void PlaceResponse::encode(std::vector<uint8_t> &Out) const {
   B.writeString(Artifact);
   B.writeString(DecisionSummary);
   B.writeString(SolverName);
-  B.writeVarint(HoareChecks);
-  B.writeVarint(SolverQueries);
-  B.writeVarint(CacheHits);
-  B.writeVarint(CacheMisses);
-  B.writeVarint(SharedHits);
-  B.writeVarint(SharedMisses);
-  B.writeVarint(PairsConsidered);
-  B.writeVarint(NoSignalProved);
-  B.writeVarint(Signals);
-  B.writeVarint(Broadcasts);
-  B.writeVarint(Unconditional);
-  B.writeVarint(CommutativityWins);
+  for (const core::PlacementCountField &F : core::PlacementCountFields)
+    B.writeVarint(this->*F.Member);
   writeDouble(B, AnalysisSeconds);
   writeDouble(B, InvariantSeconds);
   writeDouble(B, QueueSeconds);
@@ -154,18 +144,8 @@ bool PlaceResponse::decode(const uint8_t *Data, size_t Size,
       !B.readString(Out.DecisionSummary, MaxFramePayload) ||
       !B.readString(Out.SolverName, 64))
     return false;
-  Out.HoareChecks = B.readVarint();
-  Out.SolverQueries = B.readVarint();
-  Out.CacheHits = B.readVarint();
-  Out.CacheMisses = B.readVarint();
-  Out.SharedHits = B.readVarint();
-  Out.SharedMisses = B.readVarint();
-  Out.PairsConsidered = B.readVarint();
-  Out.NoSignalProved = B.readVarint();
-  Out.Signals = B.readVarint();
-  Out.Broadcasts = B.readVarint();
-  Out.Unconditional = B.readVarint();
-  Out.CommutativityWins = B.readVarint();
+  for (const core::PlacementCountField &F : core::PlacementCountFields)
+    Out.*F.Member = B.readVarint();
   Out.AnalysisSeconds = readDouble(B);
   Out.InvariantSeconds = readDouble(B);
   Out.QueueSeconds = readDouble(B);

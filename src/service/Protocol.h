@@ -43,6 +43,8 @@
 #ifndef EXPRESSO_SERVICE_PROTOCOL_H
 #define EXPRESSO_SERVICE_PROTOCOL_H
 
+#include "core/PlacementCounts.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -130,7 +132,7 @@ enum class ResponseStatus : uint8_t {
   Malformed = 5,         ///< request payload did not decode
   InternalError = 6,
   /// The request's deadline fired before placement finished. Partial stats
-  /// (Hoare checks, queries, queue wait) are still populated; Artifact and
+  /// (every placement counter, queue wait) are still populated; Artifact and
   /// DecisionSummary are empty — a cancelled run publishes nothing, not
   /// even into the daemon's shared caches.
   DeadlineExceeded = 7,
@@ -140,26 +142,14 @@ enum class ResponseStatus : uint8_t {
 /// CLI prints for the same spec and --emit kind; DecisionSummary is Σ (the
 /// invariant plus decisions), the cross-surface determinism contract —
 /// cache counters differ between a warm daemon and a cold CLI, Σ never
-/// does.
-struct PlaceResponse {
+/// does. The placement counters are the PlacementCounts base, encoded in
+/// its field order.
+struct PlaceResponse : core::PlacementCounts {
   ResponseStatus Status = ResponseStatus::InternalError;
   std::string Error;           ///< diagnostics when Status != Ok
   std::string Artifact;        ///< the --emit output (summary/ir/cpp/java)
   std::string DecisionSummary; ///< Σ, for byte-parity checks
   std::string SolverName;      ///< answering backend ("z3", "mini", …)
-
-  uint64_t HoareChecks = 0;
-  uint64_t SolverQueries = 0;
-  uint64_t CacheHits = 0;    ///< request-local memo tier
-  uint64_t CacheMisses = 0;
-  uint64_t SharedHits = 0;   ///< daemon-shared store tier (cross-request)
-  uint64_t SharedMisses = 0;
-  uint64_t PairsConsidered = 0;
-  uint64_t NoSignalProved = 0;
-  uint64_t Signals = 0;
-  uint64_t Broadcasts = 0;
-  uint64_t Unconditional = 0;
-  uint64_t CommutativityWins = 0;
   double AnalysisSeconds = 0;  ///< daemon-side pipeline wall time
   double InvariantSeconds = 0; ///< share spent inferring the invariant
   double QueueSeconds = 0;     ///< admission-to-execution wait

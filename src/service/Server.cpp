@@ -275,6 +275,10 @@ PlaceResponse PlacementService::execute(const PlaceRequest &Req,
   core::PlacementResult Result = core::placeSignals(C, *Sema, Rig.solver(),
                                                     POpts);
   R.AnalysisSeconds = Timer.elapsedSeconds() - BudgetWait;
+  static_cast<core::PlacementCounts &>(R) = Result.Stats.counts();
+  R.InvariantSeconds = Result.Stats.InvariantSeconds;
+  R.JobsUsed = Result.Stats.JobsUsed;
+  R.SolverName = Rig.solver().name();
 
   if (Result.Cancelled) {
     // The pipeline wound down cooperatively. Report the partial stats (they
@@ -282,17 +286,6 @@ PlaceResponse PlacementService::execute(const PlaceRequest &Req,
     // decisions are incomplete and must not look like an answer. Nothing
     // was published into the shared store (CachingSolver gates appends on
     // the same token) and run() refuses to replay-cache this status.
-    const core::PlacementStats &S = Result.Stats;
-    R.HoareChecks = S.HoareChecks;
-    R.SolverQueries = S.SolverQueries;
-    R.CacheHits = S.Cache.Hits;
-    R.CacheMisses = S.Cache.Misses;
-    R.SharedHits = S.Cache.DiskHits;
-    R.SharedMisses = S.Cache.DiskMisses;
-    R.PairsConsidered = S.PairsConsidered;
-    R.InvariantSeconds = S.InvariantSeconds;
-    R.JobsUsed = S.JobsUsed;
-    R.SolverName = Rig.solver().name();
     R.Status = ResponseStatus::DeadlineExceeded;
     R.Error = std::string("deadline exceeded during ") +
               Result.cancelledPhase();
@@ -310,23 +303,6 @@ PlaceResponse PlacementService::execute(const PlaceRequest &Req,
     R.Artifact = Result.summary();
   EmitSpan.finish();
   R.DecisionSummary = Result.decisionSummary();
-  R.SolverName = Rig.solver().name();
-
-  const core::PlacementStats &S = Result.Stats;
-  R.HoareChecks = S.HoareChecks;
-  R.SolverQueries = S.SolverQueries;
-  R.CacheHits = S.Cache.Hits;
-  R.CacheMisses = S.Cache.Misses;
-  R.SharedHits = S.Cache.DiskHits;
-  R.SharedMisses = S.Cache.DiskMisses;
-  R.PairsConsidered = S.PairsConsidered;
-  R.NoSignalProved = S.NoSignalProved;
-  R.Signals = S.Signals;
-  R.Broadcasts = S.Broadcasts;
-  R.Unconditional = S.Unconditional;
-  R.CommutativityWins = S.CommutativityWins;
-  R.InvariantSeconds = S.InvariantSeconds;
-  R.JobsUsed = S.JobsUsed;
   R.Status = ResponseStatus::Ok;
   return R;
 }
@@ -534,11 +510,8 @@ void Server::logRequest(uint64_t TraceId, const PlaceRequest *Req,
   Line += Buf;
   Line += ",\"deadline_ms\":" + std::to_string(DeadlineMs);
   Line += ",\"jobs_leased\":" + std::to_string(R.JobsUsed);
-  Line += ",\"solver_queries\":" + std::to_string(R.SolverQueries);
-  Line += ",\"cache_hits\":" + std::to_string(R.CacheHits);
-  Line += ",\"cache_misses\":" + std::to_string(R.CacheMisses);
-  Line += ",\"shared_hits\":" + std::to_string(R.SharedHits);
-  Line += ",\"shared_misses\":" + std::to_string(R.SharedMisses);
+  for (const core::PlacementCountField &F : core::PlacementCountFields)
+    Line += ",\"" + std::string(F.Key) + "\":" + std::to_string(R.*F.Member);
   Line += R.Replayed ? ",\"replayed\":true" : ",\"replayed\":false";
   Line += R.TraceJson.empty() ? ",\"traced\":false" : ",\"traced\":true";
   if (Req) {

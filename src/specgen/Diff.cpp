@@ -119,18 +119,7 @@ RunResult runLocalCell(const std::string &Source, const RunSpec &Cell) {
 
   Out.St = RunResult::Status::Ok;
   Out.Sigma = R.decisionSummary();
-  Out.PairsConsidered = R.Stats.PairsConsidered;
-  Out.HoareChecks = R.Stats.HoareChecks;
-  Out.NoSignalProved = R.Stats.NoSignalProved;
-  Out.Signals = R.Stats.Signals;
-  Out.Broadcasts = R.Stats.Broadcasts;
-  Out.Unconditional = R.Stats.Unconditional;
-  Out.CommutativityWins = R.Stats.CommutativityWins;
-  Out.SolverQueries = R.Stats.SolverQueries;
-  Out.MemoHits = R.Stats.Cache.Hits;
-  Out.MemoMisses = R.Stats.Cache.Misses;
-  Out.DiskHits = R.Stats.Cache.DiskHits;
-  Out.DiskMisses = R.Stats.Cache.DiskMisses;
+  Out.Counts = R.Stats.counts();
   return Out;
 }
 
@@ -143,19 +132,7 @@ RunResult fromResponse(const service::PlaceResponse &R) {
   }
   Out.St = RunResult::Status::Ok;
   Out.Sigma = R.DecisionSummary;
-  Out.PairsConsidered = R.PairsConsidered;
-  Out.HoareChecks = R.HoareChecks;
-  Out.NoSignalProved = R.NoSignalProved;
-  Out.Signals = R.Signals;
-  Out.Broadcasts = R.Broadcasts;
-  Out.Unconditional = R.Unconditional;
-  Out.CommutativityWins = R.CommutativityWins;
-  Out.SolverQueries = R.SolverQueries;
-  Out.MemoHits = R.CacheHits;
-  Out.MemoMisses = R.CacheMisses;
-  // The daemon's shared store is the persistent tier of a local run.
-  Out.DiskHits = R.SharedHits;
-  Out.DiskMisses = R.SharedMisses;
+  Out.Counts = R; // the daemon's shared store is a local run's store tier
   return Out;
 }
 
@@ -238,13 +215,10 @@ void serializeResult(std::ostream &OS, const RunResult &R) {
   OS << "status " << static_cast<int>(R.St) << "\n";
   writeBlob(OS, "msg", R.Message);
   writeBlob(OS, "sigma", R.Sigma);
-  OS << "core " << R.PairsConsidered << " " << R.HoareChecks << " "
-     << R.NoSignalProved << " " << R.Signals << " " << R.Broadcasts << " "
-     << R.Unconditional << " " << R.CommutativityWins << " "
-     << R.SolverQueries << "\n";
-  OS << "cache " << R.MemoHits << " " << R.MemoMisses << " " << R.DiskHits
-     << " " << R.DiskMisses << "\n";
-  OS << "end\n";
+  OS << "counts";
+  for (const core::PlacementCountField &F : core::PlacementCountFields)
+    OS << " " << R.Counts.*F.Member;
+  OS << "\nend\n";
 }
 
 /// Parses the child's output stream back into results. Returns false when
@@ -295,20 +269,10 @@ bool parseResults(const std::string &Data, size_t Expected,
     {
       std::istringstream IS(L);
       std::string Tag;
-      if (!(IS >> Tag >> R.PairsConsidered >> R.HoareChecks >>
-            R.NoSignalProved >> R.Signals >> R.Broadcasts >> R.Unconditional >>
-            R.CommutativityWins >> R.SolverQueries) ||
-          Tag != "core")
-        return false;
-    }
-    if (!line(L))
-      return false;
-    {
-      std::istringstream IS(L);
-      std::string Tag;
-      if (!(IS >> Tag >> R.MemoHits >> R.MemoMisses >> R.DiskHits >>
-            R.DiskMisses) ||
-          Tag != "cache")
+      IS >> Tag;
+      for (const core::PlacementCountField &F : core::PlacementCountFields)
+        IS >> R.Counts.*F.Member;
+      if (!IS || Tag != "counts")
         return false;
     }
     if (!line(L) || L != "end")
@@ -486,24 +450,6 @@ struct MatrixReport {
   std::string Detail;
   unsigned Cells = 0;
 };
-
-std::string statLine(const RunResult &R) {
-  std::ostringstream OS;
-  OS << "pairs=" << R.PairsConsidered << " hoare=" << R.HoareChecks
-     << " nosignal=" << R.NoSignalProved << " signals=" << R.Signals
-     << " broadcasts=" << R.Broadcasts << " uncond=" << R.Unconditional
-     << " commwins=" << R.CommutativityWins << " queries=" << R.SolverQueries;
-  return OS.str();
-}
-
-bool coreEqual(const RunResult &A, const RunResult &B) {
-  return A.PairsConsidered == B.PairsConsidered &&
-         A.HoareChecks == B.HoareChecks &&
-         A.NoSignalProved == B.NoSignalProved && A.Signals == B.Signals &&
-         A.Broadcasts == B.Broadcasts && A.Unconditional == B.Unconditional &&
-         A.CommutativityWins == B.CommutativityWins &&
-         A.SolverQueries == B.SolverQueries;
-}
 
 /// One planned matrix cell: the forked child plus the parity metadata its
 /// results carry. A daemon cell yields two outcomes (request 1 joins the
@@ -693,9 +639,12 @@ MatrixReport checkGroup(solver::SolverKind Backend,
       return fail("sigma mismatch: " + Ref->Label + " vs " + O.Label +
                   "\n--- " + Ref->Label + "\n" + Ref->R.Sigma + "--- " +
                   O.Label + "\n" + O.R.Sigma);
-    if (!coreEqual(O.R, Ref->R))
-      return fail("stats mismatch: " + Ref->Label + " [" + statLine(Ref->R) +
-                  "] vs " + O.Label + " [" + statLine(O.R) + "]");
+    if (O.R.Counts.modeInvariant() != Ref->R.Counts.modeInvariant()) {
+      std::ostringstream OS;
+      OS << "stats mismatch: " << Ref->Label << " [" << Ref->R.Counts
+         << "] vs " << O.Label << " [" << O.R.Counts << "]";
+      return fail(OS.str());
+    }
   }
 
   // Memo tier: zero with the cache off, identical across cache-enabled
@@ -705,8 +654,7 @@ MatrixReport checkGroup(solver::SolverKind Backend,
     if (O.R.St != RunResult::Status::Ok)
       continue;
     if (O.Mode == CacheMode::Off) {
-      if (O.R.MemoHits != 0 || O.R.MemoMisses != 0 || O.R.DiskHits != 0 ||
-          O.R.DiskMisses != 0)
+      if (O.R.Counts != O.R.Counts.modeInvariant())
         return fail(O.Label + ": nonzero cache counters with cache off");
       continue;
     }
@@ -714,13 +662,14 @@ MatrixReport checkGroup(solver::SolverKind Backend,
       MemoRef = &O;
       continue;
     }
-    if (O.R.MemoHits != MemoRef->R.MemoHits ||
-        O.R.MemoMisses != MemoRef->R.MemoMisses)
+    const core::PlacementCounts &K = O.R.Counts;
+    const core::PlacementCounts &RefK = MemoRef->R.Counts;
+    if (K.CacheHits != RefK.CacheHits || K.CacheMisses != RefK.CacheMisses)
       return fail("memo counter mismatch: " + MemoRef->Label + " (" +
-                  std::to_string(MemoRef->R.MemoHits) + "/" +
-                  std::to_string(MemoRef->R.MemoMisses) + ") vs " + O.Label +
-                  " (" + std::to_string(O.R.MemoHits) + "/" +
-                  std::to_string(O.R.MemoMisses) + ")");
+                  std::to_string(RefK.CacheHits) + "/" +
+                  std::to_string(RefK.CacheMisses) + ") vs " + O.Label + " (" +
+                  std::to_string(K.CacheHits) + "/" +
+                  std::to_string(K.CacheMisses) + ")");
   }
 
   // Persistent tier, per cell. Cold stores answer nothing and record every
@@ -731,22 +680,23 @@ MatrixReport checkGroup(solver::SolverKind Backend,
   for (const CellOutcome &O : Cells) {
     if (O.R.St != RunResult::Status::Ok || O.Mode == CacheMode::Off)
       continue;
-    uint64_t Lookups = O.R.DiskHits + O.R.DiskMisses;
-    if (Lookups != O.R.MemoMisses)
+    const core::PlacementCounts &K = O.R.Counts;
+    uint64_t Lookups = K.SharedHits + K.SharedMisses;
+    if (Lookups != K.CacheMisses)
       return fail(O.Label + ": disk lookups (" + std::to_string(Lookups) +
-                  ") != memo misses (" + std::to_string(O.R.MemoMisses) + ")");
-    if (O.Mode == CacheMode::Cold && O.R.DiskHits != 0)
+                  ") != memo misses (" + std::to_string(K.CacheMisses) + ")");
+    if (O.Mode == CacheMode::Cold && K.SharedHits != 0)
       return fail(O.Label + ": cold store answered " +
-                  std::to_string(O.R.DiskHits) + " lookups");
+                  std::to_string(K.SharedHits) + " lookups");
     if (O.Mode == CacheMode::Warm) {
-      if (O.ExactWarm && O.R.DiskMisses != 0)
+      if (O.ExactWarm && K.SharedMisses != 0)
         return fail(O.Label + ": warm store missed " +
-                    std::to_string(O.R.DiskMisses) + " of " +
+                    std::to_string(K.SharedMisses) + " of " +
                     std::to_string(Lookups) + " lookups (expected all hits)");
       // Loose warm contract (--jobs cells): demand *some* reuse once
       // there is enough traffic that scheduling jitter cannot plausibly
       // miss every key.
-      if (!O.ExactWarm && Lookups >= 4 && O.R.DiskHits == 0)
+      if (!O.ExactWarm && Lookups >= 4 && K.SharedHits == 0)
         return fail(O.Label + ": warm store answered 0 of " +
                     std::to_string(Lookups) + " lookups");
     }

@@ -21,11 +21,11 @@
 ///     identical across all cache-enabled cells, and zero with the cache
 ///     off;
 ///   * persistent-tier counters obey the per-cell contract: cold runs see
-///     DiskHits == 0 and DiskMisses == memo misses; warm runs at
+///     SharedHits == 0 and SharedMisses == memo misses; warm runs at
 ///     jobs == 1 are exact (all hits, both backends — MiniSmt solves in a
 ///     private scratch context precisely so cache state cannot perturb
 ///     the analysis context's term ids), and --jobs warm runs conserve
-///     DiskHits + DiskMisses == misses (scheduling order varies).
+///     SharedHits + SharedMisses == misses (scheduling order varies).
 ///
 /// Every cell executes in a forked child with a hard deadline, so a
 /// pathological spec degrades to a skipped-and-logged row and a crashing
@@ -39,6 +39,7 @@
 #ifndef EXPRESSO_SPECGEN_DIFF_H
 #define EXPRESSO_SPECGEN_DIFF_H
 
+#include "core/PlacementCounts.h"
 #include "solver/SmtSolver.h"
 
 #include <cstdint>
@@ -78,22 +79,9 @@ struct RunResult {
   Status St = Status::Error;
   std::string Message;
   std::string Sigma; ///< PlacementResult::decisionSummary()
-
-  // Core placement stats, identical across every cell of a backend group.
-  uint64_t PairsConsidered = 0;
-  uint64_t HoareChecks = 0;
-  uint64_t NoSignalProved = 0;
-  uint64_t Signals = 0;
-  uint64_t Broadcasts = 0;
-  uint64_t Unconditional = 0;
-  uint64_t CommutativityWins = 0;
-  uint64_t SolverQueries = 0;
-
-  // Cache counters: memo tier, then persistent tier.
-  uint64_t MemoHits = 0;
-  uint64_t MemoMisses = 0;
-  uint64_t DiskHits = 0;
-  uint64_t DiskMisses = 0;
+  /// Mode-invariant counters agree across every cell of a backend group;
+  /// the Shared pair is the local store or the daemon's shared store.
+  core::PlacementCounts Counts;
 };
 
 /// Harness-wide options.

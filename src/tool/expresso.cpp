@@ -35,6 +35,7 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -534,6 +535,34 @@ int specgenMain(int Argc, char **Argv) {
   return 0;
 }
 
+/// The counter lines both statistics trailers print, local and served.
+/// \p TierLabel names the store tier behind the memo and \p TierSuffix
+/// annotates its line. Cache counters print in every configuration: a
+/// --no-cache run shows uniform zeros instead of dropping the lines,
+/// keeping the output schema stable for diffing and scripts.
+void printCounterLines(const core::PlacementCounts &K, bool CacheQueries,
+                       const char *TierLabel, const std::string &TierSuffix) {
+  auto percent = [](uint64_t Hits, uint64_t Misses) {
+    uint64_t Lookups = Hits + Misses;
+    return Lookups == 0 ? 0.0 : static_cast<double>(Hits) / Lookups * 100;
+  };
+  std::printf("  hoare checks:         %" PRIu64 "\n", K.HoareChecks);
+  std::printf("  solver queries:       %" PRIu64 "\n", K.SolverQueries);
+  std::printf("  query cache:          %" PRIu64 " hits / %" PRIu64
+              " misses (%.0f%%)%s\n",
+              K.CacheHits, K.CacheMisses, percent(K.CacheHits, K.CacheMisses),
+              CacheQueries ? "" : " [cache off]");
+  std::printf("  %-22s%" PRIu64 " hits / %" PRIu64 " misses (%.0f%%)%s\n",
+              TierLabel, K.SharedHits, K.SharedMisses,
+              percent(K.SharedHits, K.SharedMisses), TierSuffix.c_str());
+  std::printf("  pairs proved silent:  %" PRIu64 " / %" PRIu64 "\n",
+              K.NoSignalProved, K.PairsConsidered);
+  std::printf("  signals / broadcasts: %" PRIu64 " / %" PRIu64 "\n",
+              K.Signals, K.Broadcasts);
+  std::printf("  unconditional:        %" PRIu64 "\n", K.Unconditional);
+  std::printf("  §4.3 wins:            %" PRIu64 "\n", K.CommutativityWins);
+}
+
 //===----------------------------------------------------------------------===//
 // Daemon client mode
 //===----------------------------------------------------------------------===//
@@ -583,37 +612,9 @@ int runConnected(const std::string &SocketPath,
   if (Emit != "cpp" && Emit != "java" && Emit != "ir") {
     std::printf("\nstatistics (served by expressod):\n");
     std::printf("  solver backend:       %s\n", R.SolverName.c_str());
-    std::printf("  hoare checks:         %llu\n",
-                static_cast<unsigned long long>(R.HoareChecks));
-    std::printf("  solver queries:       %llu\n",
-                static_cast<unsigned long long>(R.SolverQueries));
-    double HitRate = R.CacheHits + R.CacheMisses == 0
-                         ? 0.0
-                         : 100.0 * static_cast<double>(R.CacheHits) /
-                               static_cast<double>(R.CacheHits +
-                                                   R.CacheMisses);
-    std::printf("  query cache:          %llu hits / %llu misses (%.0f%%)\n",
-                static_cast<unsigned long long>(R.CacheHits),
-                static_cast<unsigned long long>(R.CacheMisses), HitRate);
-    double SharedRate = R.SharedHits + R.SharedMisses == 0
-                            ? 0.0
-                            : 100.0 * static_cast<double>(R.SharedHits) /
-                                  static_cast<double>(R.SharedHits +
-                                                      R.SharedMisses);
-    std::printf("  shared warm cache:    %llu hits / %llu misses (%.0f%%)%s\n",
-                static_cast<unsigned long long>(R.SharedHits),
-                static_cast<unsigned long long>(R.SharedMisses), SharedRate,
-                R.StoreSkipped ? " [store skipped: profile mismatch]" : "");
-    std::printf("  pairs proved silent:  %llu / %llu\n",
-                static_cast<unsigned long long>(R.NoSignalProved),
-                static_cast<unsigned long long>(R.PairsConsidered));
-    std::printf("  signals / broadcasts: %llu / %llu\n",
-                static_cast<unsigned long long>(R.Signals),
-                static_cast<unsigned long long>(R.Broadcasts));
-    std::printf("  unconditional:        %llu\n",
-                static_cast<unsigned long long>(R.Unconditional));
-    std::printf("  §4.3 wins:            %llu\n",
-                static_cast<unsigned long long>(R.CommutativityWins));
+    printCounterLines(R, Req.CacheQueries, "shared warm cache:",
+                      R.StoreSkipped ? " [store skipped: profile mismatch]"
+                                     : "");
     std::printf("  analysis time:        %.2fs (invariant %.2fs, queue "
                 "%.2fs)\n",
                 R.AnalysisSeconds, R.InvariantSeconds, R.QueueSeconds);
@@ -1006,41 +1007,19 @@ int main(int Argc, char **Argv) {
     std::printf("\nstatistics:\n");
     std::printf("  solver backend:       %s\n",
                 PlacementSolver.name().c_str());
-    std::printf("  hoare checks:         %zu\n", Result.Stats.HoareChecks);
-    std::printf("  solver queries:       %zu\n", Result.Stats.SolverQueries);
-    // Cache counters print in every configuration: a --no-cache run shows
-    // uniform zeros instead of dropping the lines, keeping the output
-    // schema stable for diffing and scripts.
-    std::printf("  query cache:          %llu hits / %llu misses (%.0f%%)%s\n",
-                static_cast<unsigned long long>(Result.Stats.Cache.Hits),
-                static_cast<unsigned long long>(Result.Stats.Cache.Misses),
-                Result.Stats.Cache.hitRate() * 100,
-                Options.CacheQueries ? "" : " [cache off]");
     // The persistent-cache line additionally reports store eviction when an
     // eviction policy ran (suffix only: the prefix stays grep-stable).
-    std::string EvictedSuffix;
+    std::string TierSuffix = Store ? (Store->readOnly() ? " [read-only]" : "")
+                                   : " [no cache dir]";
     if (Store && Eviction.enabled()) {
       persist::StoreStats SS = Store->stats();
-      EvictedSuffix = " [" + std::to_string(SS.evicted()) + " evicted: " +
-                      std::to_string(SS.EvictedTtl) + " ttl, " +
-                      std::to_string(SS.EvictedSize) + " size; " +
-                      std::to_string(Store->size()) + " records kept]";
+      TierSuffix += " [" + std::to_string(SS.evicted()) + " evicted: " +
+                    std::to_string(SS.EvictedTtl) + " ttl, " +
+                    std::to_string(SS.EvictedSize) + " size; " +
+                    std::to_string(Store->size()) + " records kept]";
     }
-    std::printf("  persistent cache:     %llu hits / %llu misses (%.0f%%)%s%s\n",
-                static_cast<unsigned long long>(Result.Stats.Cache.DiskHits),
-                static_cast<unsigned long long>(
-                    Result.Stats.Cache.DiskMisses),
-                Result.Stats.Cache.diskHitRate() * 100,
-                Store ? (Store->readOnly() ? " [read-only]" : "")
-                      : " [no cache dir]",
-                EvictedSuffix.c_str());
-    std::printf("  pairs proved silent:  %zu / %zu\n",
-                Result.Stats.NoSignalProved, Result.Stats.PairsConsidered);
-    std::printf("  signals / broadcasts: %zu / %zu\n", Result.Stats.Signals,
-                Result.Stats.Broadcasts);
-    std::printf("  unconditional:        %zu\n", Result.Stats.Unconditional);
-    std::printf("  §4.3 wins:            %zu\n",
-                Result.Stats.CommutativityWins);
+    printCounterLines(Result.Stats.counts(), Options.CacheQueries,
+                      "persistent cache:", TierSuffix);
     std::printf("  analysis time:        %.2fs (invariant %.2fs)\n", Elapsed,
                 Result.Stats.InvariantSeconds);
     // Deliberately below summary(): Σ and the stats trailer are mode-

@@ -69,7 +69,7 @@ void printUsage() {
       "  --request-log=FILE       append one JSON object per served request\n"
       "                           (trace id — echoed to the client —\n"
       "                           outcome, queue/run seconds, deadline\n"
-      "                           budget, cache hits, jobs leased)\n"
+      "                           budget, placement counters, jobs leased)\n"
       "\n"
       "SIGINT/SIGTERM (or a client shutdown request) drains gracefully:\n"
       "admission stops, queued and in-flight requests finish and respond,\n"

@@ -244,13 +244,7 @@ struct PipelineRun {
   std::string Sigma;
   std::string Summary;
   std::string Ir;
-  size_t HoareChecks = 0;
-  size_t PairsConsidered = 0;
-  size_t SolverQueries = 0;
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t DiskHits = 0;
-  uint64_t DiskMisses = 0;
+  core::PlacementCounts Counts;
 };
 
 PipelineRun runPipeline(const std::string &BenchName, unsigned Jobs,
@@ -276,13 +270,7 @@ PipelineRun runPipeline(const std::string &BenchName, unsigned Jobs,
   R.Sigma = P.decisionSummary();
   R.Summary = P.summary();
   R.Ir = codegen::printTargetIr(P);
-  R.HoareChecks = P.Stats.HoareChecks;
-  R.PairsConsidered = P.Stats.PairsConsidered;
-  R.SolverQueries = P.Stats.SolverQueries;
-  R.CacheHits = P.Stats.Cache.Hits;
-  R.CacheMisses = P.Stats.Cache.Misses;
-  R.DiskHits = P.Stats.Cache.DiskHits;
-  R.DiskMisses = P.Stats.Cache.DiskMisses;
+  R.Counts = P.Stats.counts();
   return R;
 }
 
@@ -493,13 +481,7 @@ TEST(ObsTest, TracingIsByteInvisibleToPlacement) {
     EXPECT_EQ(Traced.Sigma, Plain.Sigma) << "Jobs=" << Jobs;
     EXPECT_EQ(Traced.Summary, Plain.Summary) << "Jobs=" << Jobs;
     EXPECT_EQ(Traced.Ir, Plain.Ir) << "Jobs=" << Jobs;
-    EXPECT_EQ(Traced.HoareChecks, Plain.HoareChecks);
-    EXPECT_EQ(Traced.PairsConsidered, Plain.PairsConsidered);
-    EXPECT_EQ(Traced.SolverQueries, Plain.SolverQueries);
-    EXPECT_EQ(Traced.CacheHits, Plain.CacheHits);
-    EXPECT_EQ(Traced.CacheMisses, Plain.CacheMisses);
-    EXPECT_EQ(Traced.DiskHits, Plain.DiskHits);
-    EXPECT_EQ(Traced.DiskMisses, Plain.DiskMisses);
+    EXPECT_EQ(Traced.Counts, Plain.Counts) << "Jobs=" << Jobs;
 
     // …and the tracer did actually observe the run.
     EXPECT_GT(T.spanCount(), 0u);
@@ -606,6 +588,28 @@ TEST(ObsTest, DaemonEchoesTraceIdWritesRequestLogAndServesMetrics) {
             std::string::npos)
       << Lines[1];
   EXPECT_NE(Lines[1].find("\"traced\":false"), std::string::npos);
+
+  // Every placement counter is logged under its snake_case key with the
+  // value the client received. The keys are a published schema
+  // (docs/OBSERVABILITY.md), so they are pinned here by name.
+  const char *Keys[] = {"hoare_checks",     "solver_queries",
+                        "cache_hits",       "cache_misses",
+                        "shared_hits",      "shared_misses",
+                        "pairs_considered", "no_signal_proved",
+                        "signals",          "broadcasts",
+                        "unconditional",    "commutativity_wins"};
+  ASSERT_EQ(std::size(Keys), std::size(core::PlacementCountFields));
+  const service::PlaceResponse *Responses[] = {&R1, &R2};
+  for (size_t I = 0; I < std::size(Keys); ++I) {
+    const core::PlacementCountField &F = core::PlacementCountFields[I];
+    EXPECT_STREQ(F.Key, Keys[I]);
+    for (size_t L = 0; L < 2; ++L) {
+      std::string Entry = "\"" + std::string(Keys[I]) +
+                          "\":" + std::to_string(Responses[L]->*F.Member) + ",";
+      EXPECT_NE(Lines[L].find(Entry), std::string::npos)
+          << Entry << " missing from " << Lines[L];
+    }
+  }
 }
 
 #endif // !_WIN32

@@ -233,6 +233,7 @@ TEST(ServiceTest, PlaceResponseRoundTripsAndRejectsTruncation) {
   R.CacheHits = 7;
   R.SharedHits = 9;
   R.PairsConsidered = 12;
+  R.CommutativityWins = 3;
   R.AnalysisSeconds = 1.25;
   R.QueueSeconds = 0.5;
   R.JobsUsed = 3;
@@ -248,10 +249,8 @@ TEST(ServiceTest, PlaceResponseRoundTripsAndRejectsTruncation) {
   EXPECT_EQ(Out.Artifact, R.Artifact);
   EXPECT_EQ(Out.DecisionSummary, R.DecisionSummary);
   EXPECT_EQ(Out.SolverName, R.SolverName);
-  EXPECT_EQ(Out.HoareChecks, R.HoareChecks);
-  EXPECT_EQ(Out.CacheHits, R.CacheHits);
-  EXPECT_EQ(Out.SharedHits, R.SharedHits);
-  EXPECT_EQ(Out.PairsConsidered, R.PairsConsidered);
+  EXPECT_EQ(static_cast<const core::PlacementCounts &>(Out),
+            static_cast<const core::PlacementCounts &>(R));
   EXPECT_DOUBLE_EQ(Out.AnalysisSeconds, R.AnalysisSeconds);
   EXPECT_DOUBLE_EQ(Out.QueueSeconds, R.QueueSeconds);
   EXPECT_EQ(Out.JobsUsed, R.JobsUsed);
