@@ -15,6 +15,7 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -53,6 +54,17 @@ std::vector<const Term *> abducibles(const SemaInfo &Sema) {
   return Result;
 }
 
+/// The consecution triple {I and Guard(w)} Body(w) {Post} of CCR \p W.
+HoareTriple consecution(logic::TermContext &C, const Term *I,
+                        const CcrInfo &W, const Term *Post) {
+  HoareTriple T;
+  T.Pre = C.and_(I, W.Guard);
+  T.Body = W.W->Body;
+  T.InMethod = W.Parent;
+  T.Post = Post;
+  return T;
+}
+
 } // namespace
 
 bool analysis::isMonitorInvariant(logic::TermContext &C, const SemaInfo &Sema,
@@ -64,15 +76,9 @@ bool analysis::isMonitorInvariant(logic::TermContext &C, const SemaInfo &Sema,
   if (!Solver.isValid(logic::simplify(C, InitVc)))
     return false;
   // Consecution: {I and Guard(w)} Body(w) {I} for every CCR.
-  for (const CcrInfo &W : Sema.Ccrs) {
-    HoareTriple T;
-    T.Pre = C.and_(I, W.Guard);
-    T.Body = W.W->Body;
-    T.InMethod = W.Parent;
-    T.Post = I;
-    if (!Checker.proves(T))
+  for (const CcrInfo &W : Sema.Ccrs)
+    if (!Checker.proves(consecution(C, I, W, I)))
       return false;
-  }
   return true;
 }
 
@@ -161,6 +167,13 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
   // across workers while keep/drop verdicts land in slot arrays merged in
   // candidate order: the fixpoint (and the invariant) is identical for any
   // worker count.
+  //
+  // Each round first checks the whole invariant once per CCR,
+  // {I and Guard(w)} Body(w) {I}. wp distributes over conjunction, so when
+  // that triple is valid every conjunct ψ of I is preserved by w and the
+  // per-ψ checks skip w; an invalid, unknown or expired pre-check leaves w
+  // to the per-ψ checks. A stable round (most of them, and always the last)
+  // then costs one query per CCR instead of one per (ψ, CCR) pair.
   unsigned Jobs = Cfg.Jobs;
   if (Jobs > Universe.size())
     Jobs = static_cast<unsigned>(Universe.size());
@@ -197,6 +210,7 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
       Phi.push_back(UniverseVec[Idx]);
   InitSpan.arg("kept", static_cast<uint64_t>(Phi.size()));
   InitSpan.finish();
+  Result.Initiated = Phi;
 
   for (;;) {
     if (Expired())
@@ -206,23 +220,27 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
     RoundSpan.arg("round", static_cast<uint64_t>(Result.NumIterations));
     RoundSpan.arg("candidates", static_cast<uint64_t>(Phi.size()));
     const Term *I = C.and_(Phi);
+    std::vector<char> CcrProved(Sema.Ccrs.size(), 0);
+    if (!Phi.empty())
+      Pool.parallelFor(Sema.Ccrs.size(), [&](unsigned WorkerId, size_t Wi) {
+        if (Expired())
+          return; // not proved: the per-ψ checks below drop conservatively
+        const CcrInfo &W = Sema.Ccrs[Wi];
+        CcrProved[Wi] =
+            checkerFor(WorkerId).proves(consecution(C, I, W, I)) ? 1 : 0;
+      });
+    RoundSpan.arg("ccrs_proved",
+                  static_cast<uint64_t>(std::count(CcrProved.begin(),
+                                                   CcrProved.end(), 1)));
     Keep.assign(Phi.size(), 0);
     Pool.parallelFor(Phi.size(), [&](unsigned WorkerId, size_t Idx) {
       if (Expired())
         return; // conservative drop, as in the initiation filter
       HoareChecker &Chk = checkerFor(WorkerId);
       bool Preserved = true;
-      for (const CcrInfo &W : Sema.Ccrs) {
-        HoareTriple T;
-        T.Pre = C.and_(I, W.Guard);
-        T.Body = W.W->Body;
-        T.InMethod = W.Parent;
-        T.Post = Phi[Idx];
-        if (!Chk.proves(T)) {
-          Preserved = false;
-          break;
-        }
-      }
+      for (size_t Wi = 0; Wi < Sema.Ccrs.size() && Preserved; ++Wi)
+        if (!CcrProved[Wi])
+          Preserved = Chk.proves(consecution(C, I, Sema.Ccrs[Wi], Phi[Idx]));
       Keep[Idx] = Preserved ? 1 : 0;
     });
     std::vector<const Term *> Survivors;

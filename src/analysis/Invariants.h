@@ -15,8 +15,10 @@
 /// Phase 2 is a Houdini-style fixpoint (monomial predicate abstraction over
 /// the abduced predicates): drop every ψ ∈ Φ that fails initiation
 /// ({requires} Ctr(M) {ψ}) or consecution ({∧Φ ∧ Guard(w)} Body(w) {ψ});
-/// repeat until stable. The conjunction of survivors is a valid monitor
-/// invariant by construction.
+/// repeat until stable. A round first proves {∧Φ ∧ Guard(w)} Body(w) {∧Φ}
+/// once per CCR and checks ψ one by one only against the CCRs that fail it,
+/// which yields the same survivors (wp distributes over ∧). The conjunction
+/// of survivors is a valid monitor invariant by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,6 +79,8 @@ struct InvariantConfig {
 struct InvariantResult {
   const logic::Term *Invariant = nullptr; ///< Conjunction of survivors.
   std::vector<const logic::Term *> Predicates; ///< Surviving ψ's.
+  /// Φ after the initiation filter: the Houdini fixpoint's input.
+  std::vector<const logic::Term *> Initiated;
   size_t NumCandidates = 0; ///< |Φ| before the fixpoint.
   size_t NumIterations = 0; ///< Fixpoint rounds.
   double AbductionSeconds = 0; ///< Phase 1 (candidate universe) wall time.

@@ -30,7 +30,7 @@ const Spelling codegen::JavaSpelling = {
      "java.util.HashMap<Integer, Boolean>"},
     "",
     ".getOrDefault(",
-    {", 0)", ", false)"},
+    {", 0).intValue()", ", false)"},
     ".put(",
     ", ",
     ");",

@@ -388,7 +388,8 @@ struct Spelling {
   const char *IntSuffix;
   /// An array read is `a<ReadOpen>i<ReadClose>`. ReadClose is indexed by
   /// element type (0 int, 1 bool) because Java's getOrDefault names a
-  /// default value.
+  /// default value. Java int reads also unbox: `==` between two boxed
+  /// Integers compares references.
   const char *ReadOpen;
   const char *ReadClose[2];
   /// An array write is `a<WriteOpen>i<WriteMid>v<WriteClose>`.

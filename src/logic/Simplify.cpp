@@ -321,13 +321,27 @@ private:
 } // namespace
 
 const Term *logic::simplify(TermContext &C, const Term *T) {
+  // Memo on the input term. A simplification run is a pure function of the
+  // term and the nodes already interned, and a repeat run re-interns only
+  // nodes the first run published, so it adds no term and claims no id: a
+  // hit leaves the id sequence (and with it operand order and printed bytes)
+  // exactly as the recomputation would. Concurrent callers compute the same
+  // pointer, so a racing store writes the value already there.
+  if (const Term *Hit = T->Simplified.load(std::memory_order_acquire))
+    return Hit;
   // Iterate to a (cheap) fixpoint; two rounds catch most cascades.
   const Term *Cur = T;
   for (int I = 0; I < 3; ++I) {
     const Term *Next = Simplifier(C).run(Cur);
-    if (Next == Cur)
-      return Cur;
+    if (Next == Cur) {
+      // A converged result is its own simplified form.
+      Cur->Simplified.store(Cur, std::memory_order_release);
+      break;
+    }
     Cur = Next;
   }
+  // A result that hit the round cap may simplify further on its own, so it
+  // is cached for its input only.
+  T->Simplified.store(Cur, std::memory_order_release);
   return Cur;
 }

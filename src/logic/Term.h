@@ -78,7 +78,10 @@ enum class TermKind : uint8_t {
 
 const char *kindName(TermKind K);
 
-/// An immutable node in the hash-consed term DAG. Create via TermContext.
+class TermContext;
+
+/// A node in the hash-consed term DAG, immutable but for its simplify memo.
+/// Create via TermContext.
 ///
 /// Nodes live in their context's bump-pointer arenas (one arena per intern
 /// shard): allocation is an atomic offset bump, nodes are never moved or
@@ -147,6 +150,7 @@ public:
 
 private:
   friend class TermContext;
+  friend const Term *simplify(TermContext &C, const Term *T);
   Term(TermKind K, Sort S, uint32_t Id, uint64_t StructHash, int64_t IntVal,
        std::string Name, std::vector<const Term *> Ops)
       : Kind(K), TheSort(S), Id(Id), IntVal(IntVal), Name(std::move(Name)),
@@ -159,6 +163,10 @@ private:
   std::string Name;
   std::vector<const Term *> Ops;
   uint64_t StructHash;
+  /// simplify()'s memo for this term: null until the first simplification
+  /// finishes, then its result. Not part of the term's shape (hash, equality
+  /// and serialized bytes ignore it); see Simplify.cpp.
+  mutable std::atomic<const Term *> Simplified{nullptr};
 };
 
 /// Hasher for term-keyed hash maps that uses the precomputed structural
@@ -197,8 +205,10 @@ struct TermIdLess {
 /// the shard's bump-pointer arena and publish it with a bucket
 /// compare-exchange; only table growth takes the shard's mutex, and only
 /// variable-name registration (var/freshVar/lookupVar) shares a dedicated
-/// name-map mutex. Terms themselves are immutable after publication and may
-/// be read without synchronization.
+/// name-map mutex. A term's shape (kind, sort, payload, operands, id, hash)
+/// is immutable after publication and may be read without synchronization;
+/// the one mutable field, the simplify memo, is an atomic pointer that is
+/// only ever set to the term's (unique) simplified form.
 ///
 /// Determinism: Term::id values come from one context-global counter,
 /// claimed when a candidate node is built. A serial construction sequence

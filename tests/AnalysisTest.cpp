@@ -9,14 +9,22 @@
 #include "analysis/Commute.h"
 #include "analysis/Hoare.h"
 #include "analysis/Invariants.h"
+#include "bench/Workloads.h"
 
 #include "frontend/Interp.h"
 #include "frontend/Parser.h"
 #include "logic/Printer.h"
 #include "logic/Simplify.h"
+#include "obs/Trace.h"
+#include "specgen/SpecGen.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 using namespace expresso;
 using namespace expresso::frontend;
@@ -398,6 +406,178 @@ TEST(InvariantTest, TrueIsAlwaysAnInvariant) {
   // readers == 0 holds initially but is not preserved.
   EXPECT_FALSE(isMonitorInvariant(F.C, *F.Sema, *F.Solver,
                                   F.C.eq(Readers, F.C.getZero())));
+}
+
+/// Forwards every query to a backend and stamps it with a tracer's clock,
+/// so a test can count the queries that ran inside a given span.
+class StampingSolver : public solver::SmtSolver {
+public:
+  StampingSolver(logic::TermContext &C, solver::SmtSolver &Inner,
+                 const obs::Tracer &Clock)
+      : SmtSolver(C), Inner(Inner), Clock(Clock) {}
+
+  solver::CheckResult checkSat(const Term *F) override {
+    Stamps.push_back(Clock.nowNs());
+    return Inner.checkSat(F);
+  }
+  std::string name() const override { return "stamping-" + Inner.name(); }
+
+  /// Queries stamped within [StartNs, EndNs].
+  size_t queriesIn(uint64_t StartNs, uint64_t EndNs) const {
+    return static_cast<size_t>(
+        std::count_if(Stamps.begin(), Stamps.end(), [&](uint64_t T) {
+          return T >= StartNs && T <= EndNs;
+        }));
+  }
+
+  std::vector<uint64_t> Stamps;
+
+private:
+  solver::SmtSolver &Inner;
+  const obs::Tracer &Clock;
+};
+
+HoareTriple consecutionTriple(logic::TermContext &C, const Term *I,
+                              const CcrInfo &W, const Term *Post) {
+  HoareTriple T;
+  T.Pre = C.and_(I, W.Guard);
+  T.Body = W.W->Body;
+  T.InMethod = W.Parent;
+  T.Post = Post;
+  return T;
+}
+
+/// Algorithm 2's Houdini phase as the paper states it: every round checks
+/// each candidate against each CCR, one (ψ, CCR) triple at a time, until no
+/// candidate drops.
+std::vector<const Term *> referenceHoudini(logic::TermContext &C,
+                                           const SemaInfo &Sema,
+                                           solver::SmtSolver &Solver,
+                                           std::vector<const Term *> Phi) {
+  HoareChecker Chk(C, Sema, Solver);
+  for (;;) {
+    const Term *I = C.and_(Phi);
+    std::vector<const Term *> Survivors;
+    for (const Term *Psi : Phi) {
+      bool Preserved = true;
+      for (const CcrInfo &W : Sema.Ccrs)
+        if (!Chk.proves(consecutionTriple(C, I, W, Psi))) {
+          Preserved = false;
+          break;
+        }
+      if (Preserved)
+        Survivors.push_back(Psi);
+    }
+    if (Survivors.size() == Phi.size())
+      return Phi;
+    Phi = std::move(Survivors);
+  }
+}
+
+/// inferMonitorInvariant's closing step: greedily drop each predicate the
+/// remaining ones imply.
+std::vector<const Term *> minimizeGreedy(logic::TermContext &C,
+                                         solver::SmtSolver &Solver,
+                                         std::vector<const Term *> Phi) {
+  for (size_t I = 0; I < Phi.size();) {
+    std::vector<const Term *> Others;
+    for (size_t K = 0; K < Phi.size(); ++K)
+      if (K != I)
+        Others.push_back(Phi[K]);
+    if (Solver.isValid(C.implies(C.and_(Others), Phi[I])))
+      Phi.erase(Phi.begin() + static_cast<long>(I));
+    else
+      ++I;
+  }
+  return Phi;
+}
+
+/// Checks that inference keeps exactly the predicates of the per-candidate
+/// reference fixpoint started from the same initiated candidates.
+void expectReferencePredicates(const std::string &Name,
+                               const std::string &Source) {
+  SCOPED_TRACE(Name);
+  DiagnosticEngine Diags;
+  std::unique_ptr<Monitor> M = parseMonitor(Source, Diags);
+  ASSERT_NE(M, nullptr) << Diags.str();
+  logic::TermContext C;
+  std::unique_ptr<SemaInfo> Sema = analyze(*M, C, Diags);
+  ASSERT_NE(Sema, nullptr) << Diags.str();
+  auto Solver = solver::createSolver(solver::SolverKind::Default, C);
+  InvariantResult IR = inferMonitorInvariant(C, *Sema, *Solver);
+  std::vector<const Term *> Expected = minimizeGreedy(
+      C, *Solver, referenceHoudini(C, *Sema, *Solver, IR.Initiated));
+  EXPECT_EQ(IR.Predicates, Expected)
+      << "inferred: " << logic::printTerm(IR.Invariant);
+}
+
+TEST(InvariantTest, StableRoundCostsOneQueryPerCcr) {
+  const bench::BenchmarkDef *Def = bench::findBenchmark("BoundedBuffer");
+  ASSERT_NE(Def, nullptr);
+  AnalysisFixture F(Def->Source.c_str());
+  ASSERT_NE(F.Sema, nullptr);
+  obs::Tracer Trace;
+  StampingSolver Counter(F.C, *F.Solver, Trace);
+  InvariantConfig Cfg;
+  Cfg.Trace = &Trace;
+  InvariantResult IR = inferMonitorInvariant(F.C, *F.Sema, Counter, Cfg);
+
+  const std::vector<obs::SpanRecord> Spans = Trace.snapshot();
+  const obs::SpanRecord *Last = nullptr;
+  for (const obs::SpanRecord &S : Spans)
+    if (std::string(S.Name) == "invariant.houdini.round" &&
+        (!Last || S.StartNs > Last->StartNs))
+      Last = &S;
+  ASSERT_NE(Last, nullptr);
+  const size_t NumCcrs = F.Sema->Ccrs.size();
+  EXPECT_NE(Last->Args.find("\"ccrs_proved\":" + std::to_string(NumCcrs)),
+            std::string::npos)
+      << Last->Args;
+
+  // The stable round proves {I and Guard(w)} Body(w) {I} once per CCR and
+  // nothing else; a CCR whose VC simplifies to true needs no query at all.
+  std::vector<const Term *> Fixpoint =
+      referenceHoudini(F.C, *F.Sema, *F.Solver, IR.Initiated);
+  ASSERT_GE(Fixpoint.size(), 2u);
+  const Term *I = F.C.and_(Fixpoint);
+  size_t SolverVcs = 0;
+  for (const CcrInfo &W : F.Sema->Ccrs)
+    if (!F.Checker->verificationCondition(consecutionTriple(F.C, I, W, I))
+             ->isBoolConst())
+      ++SolverVcs;
+  EXPECT_GT(SolverVcs, 0u);
+  EXPECT_EQ(Counter.queriesIn(Last->StartNs, Last->StartNs + Last->DurNs),
+            SolverVcs);
+
+  // Checking each (ψ, CCR) pair on its own costs more in that round: from
+  // the fixpoint, the reference runs just the stable round.
+  size_t Before = Counter.Stamps.size();
+  referenceHoudini(F.C, *F.Sema, Counter, Fixpoint);
+  EXPECT_GT(Counter.Stamps.size() - Before, SolverVcs);
+}
+
+TEST(InvariantTest, PaperMonitorsMatchPerCandidateFixpoint) {
+  for (const bench::BenchmarkDef &Def : bench::allBenchmarks())
+    expectReferencePredicates(Def.Name, Def.Source);
+}
+
+TEST(InvariantTest, SpecgenMonitorsMatchPerCandidateFixpoint) {
+  // Two-CCR specs of every guard shape, drawn from the same seeds as the
+  // repository benchmark's pinned analyze inputs.
+  const specgen::GuardShape Shapes[] = {
+      specgen::GuardShape::Comparison, specgen::GuardShape::Arithmetic,
+      specgen::GuardShape::Boolean, specgen::GuardShape::Mixed};
+  for (unsigned S = 0; S < 4; ++S)
+    for (unsigned K = 0; K < 6; ++K) {
+      specgen::GenConfig Cfg;
+      Cfg.Seed = 1 + S * 16 + K;
+      Cfg.Ccrs = 2;
+      Cfg.Shape = Shapes[S];
+      Cfg.FanIn = 1;
+      Cfg.normalize();
+      expectReferencePredicates(specgen::configToString(Cfg),
+                                specgen::generateMonitorSource(Cfg));
+    }
 }
 
 } // namespace

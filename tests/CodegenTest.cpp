@@ -307,6 +307,70 @@ TEST_P(GeneratedCodeCompiles, JavaIsValid) {
                        << Code;
 }
 
+// Java's getOrDefault returns a boxed Integer, and `==` between two boxed
+// Integers compares references, which differ for equal values outside the
+// small-value cache (-128..127). Int reads must unbox so the guard below
+// holds once both cells hold 200.
+TEST(JavaCodegenTest, IntArrayReadsCompareByValue) {
+  std::string Version;
+  if (runCommand("javac -version", Version) != 0)
+    GTEST_SKIP() << "javac not found";
+  CodegenFixture F(R"(
+    monitor ArrayEq {
+      int[] a;
+      int i = 0;
+      int j = 1;
+      void pass() { waituntil (a[i] == a[j]) { } }
+      void set(int k, int v) { a[k] = v; }
+    }
+  )");
+  std::string Code = codegen::emitJava(F.Result);
+  EXPECT_NE(Code.find("a.getOrDefault(i, 0).intValue() == "
+                      "a.getOrDefault(j, 0).intValue()"),
+            std::string::npos)
+      << Code;
+
+  std::string Dir = ::testing::TempDir() + "/expresso_java_ArrayEq";
+  std::filesystem::create_directories(Dir);
+  {
+    std::ofstream Out(Dir + "/ArrayEq.java");
+    Out << Code;
+  }
+  {
+    // pass() blocks while a[0] != a[1]; a thread stuck past the timeout
+    // means the guard never held.
+    std::ofstream Out(Dir + "/ArrayEqMain.java");
+    Out << R"(public class ArrayEqMain {
+  public static void main(String[] args) throws Exception {
+    ArrayEq m = new ArrayEq();
+    m.set(0, 200);
+    m.set(1, 200);
+    Thread t = new Thread(m::pass);
+    t.setDaemon(true);
+    t.start();
+    t.join(20000);
+    if (t.isAlive()) {
+      System.out.println("pass() still blocked with a[0] == a[1] == 200");
+      System.exit(1);
+    }
+  }
+}
+)";
+  }
+  std::string Output;
+  ASSERT_EQ(runCommand("javac -encoding UTF-8 -d " + Dir + " " + Dir +
+                           "/ArrayEq.java " + Dir + "/ArrayEqMain.java",
+                       Output),
+            0)
+      << Output << "\n---- code ----\n"
+      << Code;
+  if (runCommand("java -version", Version) != 0)
+    GTEST_SKIP() << "java not found";
+  Output.clear();
+  EXPECT_EQ(runCommand("java -cp " + Dir + " ArrayEqMain", Output), 0)
+      << Output;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, GeneratedCodeCompiles,
                          ::testing::Range(0, 14),
                          [](const ::testing::TestParamInfo<int> &Info) {

@@ -7,13 +7,15 @@
 // intern / transferTerm concurrently, asserting the invariants the rest of
 // the engine leans on — structural-hash uniqueness (equal structure ⇒ same
 // pointer, distinct structure ⇒ distinct pointer), id uniqueness under
-// racing publishes, and id-determinism of serial construction across runs.
+// racing publishes, id-determinism of serial construction across runs, and
+// agreement of concurrent simplify calls racing on a term's memo.
 // Runs under TSan in CI (ctest label "intern" rides the sanitizer leg's
 // filter), where the bucket-CAS publish, table migration, and arena
 // rollover protocols get their real workout.
 //
 //===----------------------------------------------------------------------===//
 
+#include "logic/Simplify.h"
 #include "logic/Term.h"
 #include "logic/TermOps.h"
 
@@ -310,4 +312,49 @@ TEST(InternStressTest, LockstepMissesReturnOneNode) {
   EXPECT_EQ(Round, Rounds);
   EXPECT_EQ(Mismatches, 0u)
       << "lookups that returned a second node for an already-published key";
+}
+
+// Threads that simplify the same terms at the same time race to intern the
+// simplified forms and to publish each input's memo. Every thread must get
+// the one simplified form back, whichever thread computed or cached it.
+TEST(InternStressTest, ConcurrentSimplifyAgrees) {
+  constexpr unsigned Threads = 8;
+  constexpr unsigned Formulas = 1000;
+
+  TermContext C;
+  std::vector<const Term *> Vars;
+  for (unsigned V = 0; V < 4; ++V)
+    Vars.push_back(C.var("v" + std::to_string(V), Sort::Int));
+  // Junctions of neighbouring atoms give the simplifier bounds to merge,
+  // prune and absorb.
+  std::vector<const Term *> Atoms = buildSlice(C, 0, Formulas + 1, Vars);
+  std::vector<const Term *> Shared;
+  for (unsigned I = 0; I < Formulas; ++I)
+    Shared.push_back(I % 2 ? C.or_(Atoms[I], Atoms[I + 1])
+                           : C.and_(Atoms[I], C.not_(Atoms[I + 1])));
+
+  std::vector<std::vector<const Term *>> Got(
+      Threads, std::vector<const Term *>(Formulas));
+  std::barrier Start(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      Start.arrive_and_wait();
+      // Half the threads walk forwards, half backwards, so both first
+      // computations and memo hits interleave.
+      for (unsigned K = 0; K < Formulas; ++K) {
+        unsigned I = T % 2 ? Formulas - 1 - K : K;
+        Got[T][I] = simplify(C, Shared[I]);
+      }
+    });
+  for (auto &Th : Pool)
+    Th.join();
+
+  unsigned Mismatches = 0;
+  for (unsigned T = 1; T < Threads; ++T)
+    for (unsigned I = 0; I < Formulas; ++I)
+      Mismatches += Got[T][I] != Got[0][I];
+  EXPECT_EQ(Mismatches, 0u);
+  for (unsigned I = 0; I < Formulas; ++I)
+    EXPECT_EQ(simplify(C, Shared[I]), Got[0][I]);
 }

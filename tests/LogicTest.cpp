@@ -299,6 +299,22 @@ TEST_F(LogicTest, SimplifyEqLeInteraction) {
             simplify(C, C.eq(X, C.intConst(3))));
 }
 
+TEST_F(LogicTest, SimplifyMemoInternsNothing) {
+  const Term *T = C.and_({C.le(X, C.intConst(3)), C.ge(X, C.intConst(3)),
+                          C.or_(P, C.and_(P, Q)),
+                          C.le(C.add(Y, C.getOne()), C.add(Y, C.intConst(2)))});
+  const Term *R = simplify(C, T);
+  ASSERT_NE(R, T);
+  // A repeat returns the same pointer and interns no term, so the id
+  // sequence stays where a recomputation would have left it.
+  size_t Terms = C.numTerms();
+  EXPECT_EQ(simplify(C, T), R);
+  EXPECT_EQ(C.numTerms(), Terms);
+  // A converged result is its own simplified form.
+  EXPECT_EQ(simplify(C, R), R);
+  EXPECT_EQ(C.numTerms(), Terms);
+}
+
 //===----------------------------------------------------------------------===//
 // Printing
 //===----------------------------------------------------------------------===//
