@@ -10,8 +10,6 @@
 #include "frontend/Parser.h"
 #include "logic/Printer.h"
 #include "persist/QueryStore.h"
-#include "service/Client.h"
-#include "service/Server.h"
 #include "solver/CachingSolver.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -28,10 +26,6 @@
 #include <sstream>
 #include <thread>
 #include <vector>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 using namespace expresso;
 using namespace expresso::bench;
@@ -113,16 +107,6 @@ HarnessOptions HarnessOptions::fromArgs(int Argc, char **Argv) {
       Opts.CacheReadOnly = true;
     } else if (std::strncmp(Arg, "--corpus=", 9) == 0) {
       Opts.CorpusDir = Arg + 9;
-    } else if (std::strcmp(Arg, "--serve") == 0) {
-      Opts.Serve = true;
-    } else if (std::strncmp(Arg, "--serve-workers=", 16) == 0) {
-      int N = std::atoi(Arg + 16);
-      if (N <= 0)
-        std::fprintf(stderr, "--serve-workers expects a positive count; "
-                             "keeping %u\n",
-                     Opts.ServeWorkers);
-      else
-        Opts.ServeWorkers = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--build-jobs=", 13) == 0) {
       const char *Value = Arg + 13;
       unsigned N = std::strcmp(Value, "auto") == 0
@@ -325,29 +309,6 @@ int bench::figureMain(const std::string &BenchName, int Argc, char **Argv) {
               static_cast<unsigned long long>(PS.Cache.DiskHits),
               static_cast<unsigned long long>(PS.Cache.DiskMisses),
               Opts.Placement.CacheQueries ? "" : " [cache off]");
-  if (Opts.Placement.Jobs > 1 && !Opts.CacheDir.empty()) {
-    // A persistent store spans contexts, so a store-less serial baseline
-    // would report cache warming as "parallel speedup" (and a store-backed
-    // one the reverse, when the main context ran cold). The comparison is
-    // only meaningful without --cache-dir; table1's cold/warm protocol
-    // covers the cached case.
-    std::printf("# analysis: serial-vs-parallel comparison skipped under "
-                "--cache-dir (see docs/BENCHMARKS.md)\n");
-  } else if (Opts.Placement.Jobs > 1) {
-    // Serial-vs-parallel speedup on the same workload: a second context so
-    // neither run warms the other's caches.
-    core::PlacementOptions SerialOpts = Opts.Placement;
-    SerialOpts.Jobs = 1;
-    BenchContext Serial(*Def, SerialOpts);
-    bool Match = Serial.placement().decisionSummary() ==
-                 Ctx.placement().decisionSummary();
-    std::printf("# analysis: serial %.2fs, %u jobs %.2fs, speedup %.2fx, "
-                "decisions %s\n",
-                Serial.analysisSeconds(), PS.JobsUsed, Ctx.analysisSeconds(),
-                Serial.analysisSeconds() /
-                    std::max(1e-9, Ctx.analysisSeconds()),
-                Match ? "identical" : "MISMATCH");
-  }
   std::printf("%-8s %12s %12s %12s%s\n", "threads", "expresso", "autosynch",
               "explicit", Opts.IncludeNaive ? "        naive" : "");
 
@@ -375,180 +336,33 @@ namespace {
 /// Everything one table1 row needs, computed (possibly concurrently) by
 /// buildTableRow and rendered strictly in benchmark order afterwards.
 struct TableRow {
-  double SerialSeconds = 0;
-  std::string Decisions; ///< serial Σ, the parity reference for --serve
-  core::PlacementStats S; ///< serial (cold, when a store is attached) stats
-  bool HasPar = false;
-  double ParSeconds = 0;
-  bool Match = true;
-  bool HasWarm = false;
+  double Seconds = 0;
+  core::PlacementStats S; ///< the (cold, when a store is attached) run's stats
+  /// The warm rerun, measured only when a store is attached.
   double WarmSeconds = 0;
   core::PlacementStats WarmStats;
   bool WarmMatch = true;
-  /// Incremental-vs-one-shot ablation pair (store-less invocations only:
-  /// a shared store would launder one mode's solves into the other's time).
-  bool HasInc = false;
-  double IncSeconds = 0;     ///< serial, --incremental=on
-  double OneShotSeconds = 0; ///< serial, --incremental=off
-  bool IncMatch = true;      ///< full summaries byte-identical across modes
 };
 
-/// Builds the contexts for one benchmark: the serial baseline, the optional
-/// parallel rerun (determinism check), and — when a persistent store is
-/// attached — a warm rerun in a *fresh* TermContext against the store the
-/// baseline just filled, the in-process equivalent of a second process
-/// reusing the cache directory.
+/// Analyzes one benchmark at the configured options and — when a persistent
+/// store is attached — reruns it warm in a *fresh* TermContext against the
+/// store the first run just filled, the in-process equivalent of a second
+/// process reusing the cache directory.
 TableRow buildTableRow(const BenchmarkDef &Def, const HarnessOptions &Opts,
                        const std::shared_ptr<persist::QueryStore> &Store) {
   TableRow Row;
-  core::PlacementOptions SerialOpts = Opts.Placement;
-  SerialOpts.Jobs = 1;
-  BenchContext Serial(Def, SerialOpts, Store);
-  Row.SerialSeconds = Serial.analysisSeconds();
-  Row.Decisions = Serial.placement().decisionSummary();
-  Row.S = Serial.placement().Stats;
-
-  if (Opts.Placement.Jobs > 1) {
-    // Measure the fan-out in a second, independent context (so neither run
-    // warms the other's memo table) and check the determinism contract.
-    // Note the parallel context shares the *persistent* tier when a store
-    // is attached; table1's parallel columns are therefore only a fair
-    // speedup measure without --cache-dir.
-    BenchContext Par(Def, Opts.Placement, Store);
-    Row.HasPar = true;
-    Row.ParSeconds = Par.analysisSeconds();
-    Row.Match = Serial.placement().decisionSummary() ==
-                Par.placement().decisionSummary();
-  }
-
+  BenchContext Cold(Def, Opts.Placement, Store);
+  Row.Seconds = Cold.analysisSeconds();
+  Row.S = Cold.placement().Stats;
   if (Store) {
-    BenchContext Warm(Def, SerialOpts, Store);
-    Row.HasWarm = true;
+    BenchContext Warm(Def, Opts.Placement, Store);
     Row.WarmSeconds = Warm.analysisSeconds();
     Row.WarmStats = Warm.placement().Stats;
-    Row.WarmMatch = Serial.placement().decisionSummary() ==
+    Row.WarmMatch = Cold.placement().decisionSummary() ==
                     Warm.placement().decisionSummary();
-  } else {
-    // Incremental ablation: rerun the serial row with the discharge mode
-    // flipped and hold the *full* summaries — Σ plus every cache counter —
-    // to byte parity. The already-measured serial run covers the configured
-    // mode, so only one extra context is built.
-    core::PlacementOptions FlippedOpts = SerialOpts;
-    FlippedOpts.Incremental = !SerialOpts.Incremental;
-    BenchContext Flipped(Def, FlippedOpts);
-    Row.HasInc = true;
-    Row.IncSeconds = SerialOpts.Incremental ? Row.SerialSeconds
-                                            : Flipped.analysisSeconds();
-    Row.OneShotSeconds = SerialOpts.Incremental ? Flipped.analysisSeconds()
-                                                : Row.SerialSeconds;
-    Row.IncMatch =
-        Serial.placement().summary() == Flipped.placement().summary();
   }
   return Row;
 }
-
-/// One workload's serving-protocol measurements (--serve): client-observed
-/// request latencies against an in-process expressod.
-struct ServeRow {
-  bool Ok = false;
-  double ColdSeconds = 0; ///< daemon's first request for this spec
-  double WarmSeconds = 0; ///< repeat request, replay cache bypassed
-  double HotSeconds = 0;  ///< repeat request served by the replay cache
-  uint64_t WarmSharedHits = 0;   ///< shared-store hits on the warm request
-  uint64_t WarmSharedMisses = 0;
-  bool HotReplayed = false;
-  bool Match = true; ///< every response Σ == the serial row's Σ
-};
-
-#ifndef _WIN32
-
-/// Runs the cold/warm/hot serving protocol for every workload against a
-/// freshly started daemon on a private socket. The daemon's store is its
-/// resident in-memory tier, so "cold" is a true first sight of each spec
-/// and "warm" measures exactly the cross-request reuse a second client
-/// gets. Requests are serial (Jobs=1) to stay comparable with the serial
-/// table rows.
-std::vector<ServeRow> runServeProtocol(
-    const std::vector<const BenchmarkDef *> &Defs,
-    const std::vector<TableRow> &Rows, const HarnessOptions &Opts) {
-  std::vector<ServeRow> Out(Defs.size());
-  service::ServerOptions SOpts;
-  SOpts.SocketPath =
-      "/tmp/expressod-bench-" + std::to_string(::getpid()) + ".sock";
-  SOpts.Workers = Opts.ServeWorkers;
-  std::string Error;
-  service::Server Srv(SOpts);
-  if (!Srv.start(&Error)) {
-    std::fprintf(stderr, "--serve: cannot start daemon: %s\n", Error.c_str());
-    return Out;
-  }
-
-  for (size_t I = 0; I < Defs.size(); ++I) {
-    std::unique_ptr<service::ServiceClient> Client =
-        service::ServiceClient::connect(SOpts.SocketPath, &Error);
-    if (!Client) {
-      std::fprintf(stderr, "--serve: %s\n", Error.c_str());
-      break;
-    }
-    service::PlaceRequest Req;
-    Req.Source = Defs[I]->Source;
-    Req.Emit = "summary";
-    Req.UseInvariant = Opts.Placement.UseInvariant;
-    Req.UseCommutativity = Opts.Placement.UseCommutativity;
-    Req.LazyBroadcast = Opts.Placement.LazyBroadcast;
-    Req.CacheQueries = Opts.Placement.CacheQueries;
-    Req.Incremental = Opts.Placement.Incremental;
-    Req.Jobs = 1;
-    Req.BypassResultCache = true;
-
-    ServeRow &R = Out[I];
-    service::PlaceResponse Resp;
-    auto Roundtrip = [&](double &Seconds) {
-      WallTimer T;
-      if (!Client->place(Req, Resp, &Error) ||
-          Resp.Status != service::ResponseStatus::Ok) {
-        std::fprintf(stderr, "--serve: %s failed: %s\n",
-                     Defs[I]->Name.c_str(),
-                     Error.empty() ? Resp.Error.c_str() : Error.c_str());
-        return false;
-      }
-      Seconds = T.elapsedSeconds();
-      if (Resp.DecisionSummary != Rows[I].Decisions)
-        R.Match = false;
-      return true;
-    };
-
-    if (!Roundtrip(R.ColdSeconds))
-      continue;
-    if (!Roundtrip(R.WarmSeconds))
-      continue;
-    R.WarmSharedHits = Resp.SharedHits;
-    R.WarmSharedMisses = Resp.SharedMisses;
-    // Hot pair: first non-bypassed request populates the replay cache (it
-    // still runs the warm pipeline), the second is served from it.
-    Req.BypassResultCache = false;
-    double PrimeSeconds = 0;
-    if (!Roundtrip(PrimeSeconds) || !Roundtrip(R.HotSeconds))
-      continue;
-    R.HotReplayed = Resp.Replayed;
-    R.Ok = true;
-  }
-
-  Srv.requestShutdown(/*Drain=*/true);
-  Srv.wait();
-  return Out;
-}
-
-#else
-
-std::vector<ServeRow> runServeProtocol(
-    const std::vector<const BenchmarkDef *> &Defs,
-    const std::vector<TableRow> &, const HarnessOptions &) {
-  std::fprintf(stderr, "--serve is not supported on this platform\n");
-  return std::vector<ServeRow>(Defs.size());
-}
-
-#endif
 
 /// Loads the --corpus directory: every *.mon file (sorted by filename for a
 /// deterministic row order) becomes a synthetic table-only BenchmarkDef
@@ -632,14 +446,9 @@ int bench::tableMain(int Argc, char **Argv) {
     std::printf("%-28s %10s %10s %8s %10s %9s %9s %6s\n", "benchmark",
                 "cold(s)", "warm(s)", "speedup", "#checks", "diskhit",
                 "diskhit%", "match");
-  else if (Jobs > 1)
-    std::printf("%-28s %10s %10s %8s %10s %12s %12s %6s\n", "benchmark",
-                "serial(s)", "par(s)", "speedup", "#checks", "signals",
-                "broadcasts", "match");
   else
-    std::printf("%-28s %12s %10s %8s %10s %12s %12s %10s\n", "benchmark",
-                "time (sec)", "1shot(s)", "incspd", "#checks", "signals",
-                "broadcasts", "cachehit");
+    std::printf("%-28s %12s %10s %12s %12s %10s\n", "benchmark",
+                "time (sec)", "#checks", "signals", "broadcasts", "cachehit");
 
   // Resolve the benchmark list once, outside the fan-out (its lazy init is
   // the only shared mutable state the builds would otherwise touch).
@@ -673,72 +482,29 @@ int bench::tableMain(int Argc, char **Argv) {
       Rows[I] = buildTableRow(*Defs[I], Opts, Store);
   }
 
-  // Serving protocol (fix for the cold-start accounting gap: the daemon's
-  // warm-request latency vs. the CLI's cold latency is the number the
-  // resident service exists to improve, so it is now a tracked column
-  // family). Runs after the table rows so Σ parity is checked against the
-  // serial baseline of this very invocation.
-  std::vector<ServeRow> ServeRows;
-  if (Opts.Serve) {
-    ServeRows = runServeProtocol(Defs, Rows, Opts);
-    std::printf("# serving protocol (in-process expressod, workers %u): "
-                "cold/warm/hot request latency\n",
-                Opts.ServeWorkers);
-    std::printf("%-28s %10s %10s %10s %9s %8s %6s\n", "benchmark",
-                "cold(s)", "warm(s)", "hot(s)", "sharedhit", "vs-cli",
-                "match");
-    for (size_t I = 0; I < Defs.size(); ++I) {
-      const ServeRow &SR = ServeRows[I];
-      if (!SR.Ok) {
-        std::printf("%-28s %10s\n", Defs[I]->Name.c_str(), "FAILED");
-        continue;
-      }
-      std::printf("%-28s %10.3f %10.3f %10.4f %9llu %7.1fx %6s\n",
-                  Defs[I]->Name.c_str(), SR.ColdSeconds, SR.WarmSeconds,
-                  SR.HotSeconds,
-                  static_cast<unsigned long long>(SR.WarmSharedHits),
-                  Rows[I].SerialSeconds / std::max(1e-9, SR.WarmSeconds),
-                  SR.Match ? "yes" : "NO");
-    }
-  }
-
   bool FirstRow = true;
   int Exit = 0;
   for (size_t I = 0; I < Defs.size(); ++I) {
     const BenchmarkDef &Def = *Defs[I];
     const TableRow &Row = Rows[I];
     const core::PlacementStats &S = Row.S;
-    if (!Row.Match || !Row.WarmMatch || !Row.IncMatch)
-      Exit = 1;
-    if (I < ServeRows.size() && (!ServeRows[I].Ok || !ServeRows[I].Match))
+    if (!Row.WarmMatch)
       Exit = 1;
 
-    if (Row.HasWarm) {
+    if (Store) {
       std::printf("%-28s %10.2f %10.2f %7.2fx %10zu %9llu %8.0f%% %6s\n",
-                  Def.Name.c_str(), Row.SerialSeconds, Row.WarmSeconds,
-                  Row.SerialSeconds / std::max(1e-9, Row.WarmSeconds),
+                  Def.Name.c_str(), Row.Seconds, Row.WarmSeconds,
+                  Row.Seconds / std::max(1e-9, Row.WarmSeconds),
                   S.HoareChecks,
                   static_cast<unsigned long long>(Row.WarmStats.Cache.DiskHits),
                   Row.WarmStats.Cache.diskHitRate() * 100,
-                  Row.WarmMatch && Row.Match ? "yes" : "NO");
-    } else if (Row.HasPar) {
-      std::printf("%-28s %10.2f %10.2f %7.2fx %10zu %12zu %12zu %6s\n",
-                  Def.Name.c_str(), Row.SerialSeconds, Row.ParSeconds,
-                  Row.SerialSeconds / std::max(1e-9, Row.ParSeconds),
-                  S.HoareChecks, S.Signals, S.Broadcasts,
-                  Row.Match ? "yes" : "NO");
+                  Row.WarmMatch ? "yes" : "NO");
     } else {
       // Cache columns print in every configuration; --no-cache rows carry
-      // uniform zeros so the table (and JSON schema) keeps one shape. The
-      // 1shot/incspd pair is the incremental-session ablation: the same
-      // serial analysis with one solver context per query, and the speedup
-      // sessions buy over it (decision mismatch flags the row via IncMatch).
-      std::printf("%-28s %12.2f %10.2f %7.2fx %10zu %12zu %12zu %10llu%s\n",
-                  Def.Name.c_str(), Row.SerialSeconds, Row.OneShotSeconds,
-                  Row.OneShotSeconds / std::max(1e-9, Row.IncSeconds),
-                  S.HoareChecks, S.Signals, S.Broadcasts,
-                  static_cast<unsigned long long>(S.Cache.Hits),
-                  Row.IncMatch ? "" : "  MISMATCH");
+      // uniform zeros so the table (and JSON schema) keeps one shape.
+      std::printf("%-28s %12.2f %10zu %12zu %12zu %10llu\n", Def.Name.c_str(),
+                  Row.Seconds, S.HoareChecks, S.Signals, S.Broadcasts,
+                  static_cast<unsigned long long>(S.Cache.Hits));
     }
     std::fflush(stdout);
 
@@ -751,7 +517,7 @@ int bench::tableMain(int Argc, char **Argv) {
                    "\"disk_hits\": %llu, \"disk_misses\": %llu, "
                    "\"signals\": %zu, \"broadcasts\": %zu",
                    FirstRow ? "" : ",", Def.Name.c_str(), Def.Figure.c_str(),
-                   Row.SerialSeconds, S.HoareChecks, S.SolverQueries,
+                   Row.Seconds, S.HoareChecks, S.SolverQueries,
                    static_cast<unsigned long long>(S.Cache.Hits),
                    static_cast<unsigned long long>(S.Cache.Misses),
                    static_cast<unsigned long long>(S.Cache.DiskHits),
@@ -759,23 +525,7 @@ int bench::tableMain(int Argc, char **Argv) {
                    S.Signals, S.Broadcasts);
       std::fprintf(Json, ", \"incremental\": %s",
                    Opts.Placement.Incremental ? "true" : "false");
-      if (Row.HasInc)
-        std::fprintf(Json,
-                     ", \"incremental_seconds\": %.4f, "
-                     "\"oneshot_seconds\": %.4f, "
-                     "\"incremental_speedup\": %.3f, "
-                     "\"incremental_match\": %s",
-                     Row.IncSeconds, Row.OneShotSeconds,
-                     Row.OneShotSeconds / std::max(1e-9, Row.IncSeconds),
-                     Row.IncMatch ? "true" : "false");
-      if (Row.HasPar)
-        std::fprintf(Json,
-                     ", \"parallel_seconds\": %.4f, \"speedup\": %.3f, "
-                     "\"decisions_match\": %s",
-                     Row.ParSeconds,
-                     Row.SerialSeconds / std::max(1e-9, Row.ParSeconds),
-                     Row.Match ? "true" : "false");
-      if (Row.HasWarm)
+      if (Store)
         std::fprintf(Json,
                      ", \"warm_seconds\": %.4f, \"warm_disk_hits\": %llu, "
                      "\"warm_disk_misses\": %llu, \"warm_match\": %s",
@@ -785,25 +535,6 @@ int bench::tableMain(int Argc, char **Argv) {
                      static_cast<unsigned long long>(
                          Row.WarmStats.Cache.DiskMisses),
                      Row.WarmMatch ? "true" : "false");
-      if (I < ServeRows.size() && ServeRows[I].Ok) {
-        const ServeRow &SR = ServeRows[I];
-        std::fprintf(Json,
-                     ", \"serve_cold_seconds\": %.4f, "
-                     "\"serve_warm_seconds\": %.4f, "
-                     "\"serve_hot_seconds\": %.4f, "
-                     "\"serve_warm_shared_hits\": %llu, "
-                     "\"serve_warm_shared_misses\": %llu, "
-                     "\"serve_speedup\": %.3f, "
-                     "\"serve_vs_cli_speedup\": %.3f, "
-                     "\"serve_hot_replayed\": %s, \"serve_match\": %s",
-                     SR.ColdSeconds, SR.WarmSeconds, SR.HotSeconds,
-                     static_cast<unsigned long long>(SR.WarmSharedHits),
-                     static_cast<unsigned long long>(SR.WarmSharedMisses),
-                     SR.ColdSeconds / std::max(1e-9, SR.WarmSeconds),
-                     Row.SerialSeconds / std::max(1e-9, SR.WarmSeconds),
-                     SR.HotReplayed ? "true" : "false",
-                     SR.Match ? "true" : "false");
-      }
       std::fprintf(Json, "}");
       FirstRow = false;
     }

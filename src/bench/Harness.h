@@ -8,9 +8,9 @@
 /// \file
 /// Reproduces the paper's measurement methodology (§7): saturation tests in
 /// which threads only access the monitor, one series per signaling engine,
-/// ms/op on the y-axis and thread count on the x-axis. Each fig8_*/fig9_*
-/// binary calls figureMain() with its benchmark name and prints one row per
-/// thread count with expresso / autosynch / explicit columns — the same
+/// ms/op on the y-axis and thread count on the x-axis. The `figures` binary
+/// calls figureMain() for each monitor it is asked for, which prints one row
+/// per thread count with expresso / autosynch / explicit columns — the same
 /// series as the paper's Figures 8 and 9.
 ///
 //===----------------------------------------------------------------------===//
@@ -56,19 +56,7 @@ struct HarnessOptions {
   /// filename, named corpus/<stem>, figure "table_corpus") — the specgen
   /// stress corpus rides the same artifact as the paper workloads.
   std::string CorpusDir;
-  /// --serve: after the table rows, start an in-process expressod on a
-  /// private socket and measure the serving protocol per workload — cold
-  /// request (daemon's first sight of the spec), warm request (shared
-  /// query-store hits, replay cache bypassed), and hot request (whole-
-  /// response replay) — emitting the serve_* column family into the JSON
-  /// artifact with Σ parity checked against the serial row.
-  bool Serve = false;
-  unsigned ServeWorkers = 2; ///< daemon scheduler width for --serve
-  /// Placement knobs, including --incremental=on|off (Placement.Incremental):
-  /// store-less table1 rows additionally measure the flipped discharge mode
-  /// serially and report the pair as the 1shot/incspd columns and the
-  /// incremental_* JSON fields, failing the run if the two modes' full
-  /// summaries are not byte-identical.
+  /// Placement knobs: --jobs, --incremental=on|off and the ablation flags.
   core::PlacementOptions Placement;
 
   static HarnessOptions fromArgs(int Argc, char **Argv);
@@ -119,8 +107,8 @@ CellResult runCell(const BenchmarkDef &Def, const BenchContext &Ctx,
                    EngineKind Kind, unsigned Threads,
                    const HarnessOptions &Opts);
 
-/// Entry point for fig8_* / fig9_* binaries: prints the paper-style series
-/// for \p BenchName. Returns a process exit code.
+/// Prints the paper-style series for \p BenchName, as the `figures` binary
+/// does for each monitor. Returns a process exit code.
 int figureMain(const std::string &BenchName, int Argc, char **Argv);
 
 /// Entry point for the Table-1 binary: per-benchmark analysis time.

@@ -44,7 +44,7 @@ public:
     OS << "#include <deque>\n";
     OS << "#include <map>\n";
     OS << "#include <mutex>\n\n";
-    OS << "class " << Sema.M->Name << " {\n";
+    OS << "class " << targetName(Sema.M->Name) << " {\n";
     emitState();
     emitWaiterInfrastructure();
     OS << "public:\n";
@@ -61,7 +61,7 @@ private:
     OS << "  // shared monitor state\n";
     for (const Field &F : Sema.M->Fields) {
       OS << "  " << (F.IsConst ? "const " : "") << CppSpelling.type(F.Type)
-         << " " << F.Name;
+         << " " << targetName(F.Name);
       if (F.Init) {
         OS << " = " << printExpr(F.Init, CppSpelling, Sema.M);
       } else if (!F.IsConst && F.Type == TypeKind::Int) {
@@ -114,16 +114,18 @@ private:
   }
 
   void emitConstructor() {
-    OS << "  explicit " << Sema.M->Name << "(";
+    OS << "  explicit " << targetName(Sema.M->Name) << "(";
     const char *Sep = "";
     for (const Field *F : Lowered.CtorParams) {
-      OS << Sep << CppSpelling.type(F->Type) << " " << F->Name << "_arg";
+      OS << Sep << CppSpelling.type(F->Type) << " " << targetName(F->Name)
+         << "_arg";
       Sep = ", ";
     }
     OS << ")";
     Sep = " : ";
     for (const Field *F : Lowered.CtorParams) {
-      OS << Sep << F->Name << "(" << F->Name << "_arg)";
+      OS << Sep << targetName(F->Name) << "(" << targetName(F->Name)
+         << "_arg)";
       Sep = ", ";
     }
     OS << " {\n";
@@ -133,10 +135,10 @@ private:
   }
 
   void emitMethod(const Method &M) {
-    OS << "\n  void " << M.Name << "(";
+    OS << "\n  void " << targetName(M.Name) << "(";
     const char *Sep = "";
     for (const Param &P : M.Params) {
-      OS << Sep << CppSpelling.type(P.Type) << " " << P.Name;
+      OS << Sep << CppSpelling.type(P.Type) << " " << targetName(P.Name);
       Sep = ", ";
     }
     OS << ") {\n";

@@ -44,12 +44,12 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
   OS << "// monitor invariant: " << logic::printTerm(R.Invariant) << "\n";
   OS << "import java.util.concurrent.locks.Condition;\n";
   OS << "import java.util.concurrent.locks.ReentrantLock;\n\n";
-  OS << "public class " << Sema.M->Name << " {\n";
+  OS << "public class " << targetName(Sema.M->Name) << " {\n";
 
   // State.
   for (const Field &F : Sema.M->Fields) {
     OS << "  private " << (F.IsConst ? "final " : "")
-       << JavaSpelling.type(F.Type) << " " << F.Name;
+       << JavaSpelling.type(F.Type) << " " << targetName(F.Name);
     if (F.Init) {
       OS << " = " << printExpr(F.Init, JavaSpelling, Sema.M);
     } else if (F.Type == TypeKind::IntArray || F.Type == TypeKind::BoolArray) {
@@ -80,15 +80,17 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
   }
 
   // Constructor for const configuration fields.
-  OS << "\n  public " << Sema.M->Name << "(";
+  OS << "\n  public " << targetName(Sema.M->Name) << "(";
   const char *Sep = "";
   for (const Field *F : Lowered.CtorParams) {
-    OS << Sep << JavaSpelling.type(F->Type) << " " << F->Name << "Arg";
+    OS << Sep << JavaSpelling.type(F->Type) << " " << targetName(F->Name)
+       << "Arg";
     Sep = ", ";
   }
   OS << ") {\n";
   for (const Field *F : Lowered.CtorParams)
-    OS << "    this." << F->Name << " = " << F->Name << "Arg;\n";
+    OS << "    this." << targetName(F->Name) << " = " << targetName(F->Name)
+       << "Arg;\n";
   if (Sema.M->InitBody)
     OS << printStmt(Sema.M->InitBody, 2, JavaSpelling, Sema.M);
   OS << "  }\n";
@@ -114,10 +116,10 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
 
   // Methods.
   for (const Method &M : Sema.M->Methods) {
-    OS << "\n  public void " << M.Name << "(";
+    OS << "\n  public void " << targetName(M.Name) << "(";
     for (size_t I = 0; I < M.Params.size(); ++I)
       OS << (I ? ", " : "") << JavaSpelling.type(M.Params[I].Type) << " "
-         << M.Params[I].Name;
+         << targetName(M.Params[I].Name);
     OS << ") {\n    lock.lock();\n    try {\n";
     for (const WaitUntil &W : M.Body) {
       const CcrInfo &CI = Sema.info(&W);

@@ -8,6 +8,7 @@
 #include "codegen/Lowering.h"
 
 #include <cassert>
+#include <unordered_set>
 
 using namespace expresso;
 using namespace expresso::codegen;
@@ -23,7 +24,8 @@ const Spelling codegen::CppSpelling = {
     "[",
     "] = ",
     ";",
-    "mod_"};
+    "mod_",
+    &codegen::targetName};
 
 const Spelling codegen::JavaSpelling = {
     {"int", "boolean", "java.util.HashMap<Integer, Integer>",
@@ -34,7 +36,39 @@ const Spelling codegen::JavaSpelling = {
     ".put(",
     ", ",
     ");",
-    "Math.floorMod"};
+    "Math.floorMod",
+    &codegen::targetName};
+
+std::string codegen::targetName(std::string_view Name) {
+  static const std::unordered_set<std::string_view> Reserved = {
+      // C++20 keywords and alternative tokens.
+      "alignas", "alignof", "and", "and_eq", "asm", "auto", "bitand",
+      "bitor", "bool", "break", "case", "catch", "char", "char8_t",
+      "char16_t", "char32_t", "class", "co_await", "co_return", "co_yield",
+      "compl", "concept", "const", "const_cast", "consteval", "constexpr",
+      "constinit", "continue", "decltype", "default", "delete", "do",
+      "double", "dynamic_cast", "else", "enum", "explicit", "export",
+      "extern", "false", "float", "for", "friend", "goto", "if", "inline",
+      "int", "long", "mutable", "namespace", "new", "noexcept", "not",
+      "not_eq", "nullptr", "operator", "or", "or_eq", "private",
+      "protected", "public", "register", "reinterpret_cast", "requires",
+      "return", "short", "signed", "sizeof", "static", "static_assert",
+      "static_cast", "struct", "switch", "template", "this", "thread_local",
+      "throw", "true", "try", "typedef", "typeid", "typename", "union",
+      "unsigned", "using", "virtual", "void", "volatile", "wchar_t",
+      "while", "xor", "xor_eq",
+      // Java 17 keywords and literals not listed above.
+      "_", "abstract", "assert", "boolean", "byte", "extends", "final",
+      "finally", "implements", "import", "instanceof", "interface",
+      "native", "null", "package", "strictfp", "super", "synchronized",
+      "throws", "transient",
+      // The final methods of java.lang.Object.
+      "getClass", "notify", "notifyAll", "wait"};
+  std::string Out(Name);
+  if (Reserved.count(Name))
+    Out += '_';
+  return Out;
+}
 
 void codegen::renderTerm(std::ostream &OS, const Term *T, const Spelling &Sp,
                          const PredicateClass *Waiter, const char *Obj) {
@@ -64,7 +98,7 @@ void codegen::renderTerm(std::ostream &OS, const Term *T, const Spelling &Sp,
           OS << Obj << "p" << I;
           return;
         }
-    OS << T->varName();
+    OS << Sp.ident(T->varName());
     return;
   case TermKind::Add:
     Infix(" + ");
@@ -117,9 +151,9 @@ void codegen::renderTerm(std::ostream &OS, const Term *T, const Spelling &Sp,
   }
 }
 
-std::string_view codegen::localName(const Term *QualifiedVar) {
+std::string codegen::localName(const Term *QualifiedVar) {
   std::string_view Qual = QualifiedVar->varName();
-  return Qual.substr(Qual.find("::") + 2);
+  return targetName(Qual.substr(Qual.find("::") + 2));
 }
 
 TypeKind codegen::placeholderType(const PredicateClass *Q, size_t I) {

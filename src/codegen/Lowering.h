@@ -28,6 +28,12 @@ namespace codegen {
 extern const frontend::Spelling CppSpelling;
 extern const frontend::Spelling JavaSpelling;
 
+/// \p Name as an identifier of either target: a C++ or Java keyword, or a
+/// final method of java.lang.Object (which a monitor method named `wait`
+/// would try to override), gets a trailing underscore. Both spellings map
+/// identifiers through it, so the two targets name everything alike.
+std::string targetName(std::string_view Name);
+
 /// Renders \p T as a target expression in spelling \p Sp, which must spell
 /// floor mod as a call (CppSpelling and JavaSpelling do). When \p Waiter is
 /// given, its placeholders print as `<Obj>p<i>`, the snapshot fields of a
@@ -37,8 +43,8 @@ void renderTerm(std::ostream &OS, const logic::Term *T,
                 const frontend::PredicateClass *Waiter = nullptr,
                 const char *Obj = "");
 
-/// The unqualified name of a thread-local variable lowered as `m::x`.
-std::string_view localName(const logic::Term *QualifiedVar);
+/// The target name of a thread-local variable lowered as `m::x`.
+std::string localName(const logic::Term *QualifiedVar);
 
 /// The surface type of \p Q's \p I-th placeholder, as a waiter record
 /// stores it.

@@ -14,7 +14,7 @@ using namespace expresso::frontend;
 
 const Spelling frontend::DslSpelling = {
     {"int", "bool", "int[]", "bool[]"}, "", "[", {"]", "]"}, "[", "] = ", ";",
-    nullptr};
+    nullptr, nullptr};
 
 const char *frontend::typeName(TypeKind T) { return DslSpelling.type(T); }
 
@@ -112,12 +112,12 @@ struct SourcePrinter {
       OS << (cast<BoolLit>(E)->value() ? "true" : "false");
       return;
     case Expr::Kind::VarRef:
-      OS << cast<VarRef>(E)->name();
+      OS << Sp.ident(cast<VarRef>(E)->name());
       return;
     case Expr::Kind::ArrayRef: {
       const auto *A = cast<ArrayRef>(E);
       const Field *F = M ? M->findField(A->array()) : nullptr;
-      OS << A->array() << Sp.ReadOpen;
+      OS << Sp.ident(A->array()) << Sp.ReadOpen;
       expr(A->index(), 0);
       OS << Sp.ReadClose[F && F->Type == TypeKind::BoolArray];
       return;
@@ -159,14 +159,14 @@ struct SourcePrinter {
       return;
     case Stmt::Kind::Assign: {
       const auto *A = cast<AssignStmt>(S);
-      OS << Pad << A->target() << " = ";
+      OS << Pad << Sp.ident(A->target()) << " = ";
       expr(A->value(), 0);
       OS << ";\n";
       return;
     }
     case Stmt::Kind::Store: {
       const auto *St = cast<StoreStmt>(S);
-      OS << Pad << St->array() << Sp.WriteOpen;
+      OS << Pad << Sp.ident(St->array()) << Sp.WriteOpen;
       expr(St->index(), 0);
       OS << Sp.WriteMid;
       expr(St->value(), 0);
@@ -201,7 +201,7 @@ struct SourcePrinter {
     }
     case Stmt::Kind::LocalDecl: {
       const auto *L = cast<LocalDeclStmt>(S);
-      OS << Pad << Sp.type(L->type()) << " " << L->name() << " = ";
+      OS << Pad << Sp.type(L->type()) << " " << Sp.ident(L->name()) << " = ";
       expr(L->init(), 0);
       OS << ";\n";
       return;

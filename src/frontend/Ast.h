@@ -28,6 +28,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace expresso {
@@ -397,8 +398,13 @@ struct Spelling {
   /// Floor mod as a call `FloorMod(a, b)`. Null keeps the monitor
   /// language's infix `%`, which is floor mod already.
   const char *FloorMod;
+  /// Maps a source identifier to the target's. Null keeps the name.
+  std::string (*Ident)(std::string_view);
 
   const char *type(TypeKind T) const { return Types[static_cast<int>(T)]; }
+  std::string ident(std::string_view Name) const {
+    return Ident ? Ident(Name) : std::string(Name);
+  }
 };
 
 /// The monitor language's own spelling.

@@ -73,10 +73,7 @@ void PlaceRequest::encode(std::vector<uint8_t> &Out) const {
   B.writeVarint(Jobs);
   B.writeByte(static_cast<uint8_t>(Prio));
   writeBool(B, BypassResultCache);
-  // v2 tail: appended so a v1 daemon-side decode of a v1 client's payload
-  // is unchanged, and our decode treats absence as DeadlineMs = 0.
   B.writeVarint(DeadlineMs);
-  // v3 tail: absence decodes as WantTrace = false.
   writeBool(B, WantTrace);
 }
 
@@ -99,15 +96,9 @@ bool PlaceRequest::decode(const uint8_t *Data, size_t Size, PlaceRequest &Out) {
   Out.Prio = static_cast<Priority>(Prio);
   if (!readBool(B, Out.BypassResultCache))
     return false;
-  if (!B.atEnd()) { // v2 tail; a v1 payload ends here (DeadlineMs = 0)
-    Out.DeadlineMs = B.readVarint();
-    if (B.failed())
-      return false;
-  }
-  if (!B.atEnd()) { // v3 tail; a v2 payload ends here (WantTrace = false)
-    if (!readBool(B, Out.WantTrace))
-      return false;
-  }
+  Out.DeadlineMs = B.readVarint();
+  if (!readBool(B, Out.WantTrace))
+    return false;
   return finish(B);
 }
 
@@ -126,7 +117,6 @@ void PlaceResponse::encode(std::vector<uint8_t> &Out) const {
   B.writeVarint(JobsUsed);
   writeBool(B, Replayed);
   writeBool(B, StoreSkipped);
-  // v3 tail: trace id + optional attached Chrome trace.
   B.writeVarint(TraceId);
   B.writeString(TraceJson);
 }
@@ -155,11 +145,9 @@ bool PlaceResponse::decode(const uint8_t *Data, size_t Size,
   Out.JobsUsed = static_cast<uint32_t>(Jobs);
   if (!readBool(B, Out.Replayed) || !readBool(B, Out.StoreSkipped))
     return false;
-  if (!B.atEnd()) { // v3 tail; a v2 payload ends here (TraceId = 0, no JSON)
-    Out.TraceId = B.readVarint();
-    if (B.failed() || !B.readString(Out.TraceJson, MaxFramePayload))
-      return false;
-  }
+  Out.TraceId = B.readVarint();
+  if (B.failed() || !B.readString(Out.TraceJson, MaxFramePayload))
+    return false;
   return finish(B);
 }
 
@@ -178,7 +166,6 @@ void StatusResponse::encode(std::vector<uint8_t> &Out) const {
   writeBool(B, Draining);
   B.writeString(StoreProfile);
   B.writeString(StoreDir);
-  // v2 tail: outcome breakdown and completed-request latency percentiles.
   B.writeVarint(RequestsRejectedFull);
   B.writeVarint(RequestsRejectedDraining);
   B.writeVarint(RequestsExpiredQueued);
@@ -206,17 +193,13 @@ bool StatusResponse::decode(const uint8_t *Data, size_t Size,
   if (!B.readString(Out.StoreProfile, 64) ||
       !B.readString(Out.StoreDir, 1 << 16))
     return false;
-  if (!B.atEnd()) { // v2 tail; a v1 daemon's payload ends here
-    Out.RequestsRejectedFull = B.readVarint();
-    Out.RequestsRejectedDraining = B.readVarint();
-    Out.RequestsExpiredQueued = B.readVarint();
-    Out.RequestsCancelledRunning = B.readVarint();
-    Out.RequestsCompleted = B.readVarint();
-    Out.LatencyP50Seconds = readDouble(B);
-    Out.LatencyP99Seconds = readDouble(B);
-    if (B.failed())
-      return false;
-  }
+  Out.RequestsRejectedFull = B.readVarint();
+  Out.RequestsRejectedDraining = B.readVarint();
+  Out.RequestsExpiredQueued = B.readVarint();
+  Out.RequestsCancelledRunning = B.readVarint();
+  Out.RequestsCompleted = B.readVarint();
+  Out.LatencyP50Seconds = readDouble(B);
+  Out.LatencyP99Seconds = readDouble(B);
   return finish(B);
 }
 

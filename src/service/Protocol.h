@@ -32,8 +32,8 @@
 ///   StatusRequest/StatusResponse — daemon introspection (queue depth,
 ///                                  budget, shared-cache size, uptime)
 ///   ShutdownRequest/…Response    — ask the daemon to drain and exit
-///   ErrorResponse                — protocol-level rejection (bad version,
-///                                  unknown message type)
+///   ErrorResponse                — protocol-level rejection (a
+///                                  response-typed frame from a client)
 ///   MetricsRequest/…Response     — the daemon's full obs::Registry as a
 ///                                  stable text dump (v3; empty request
 ///                                  payload, like StatusRequest)
@@ -52,19 +52,17 @@
 namespace expresso {
 namespace service {
 
-/// Bumped on any wire-format change; the daemon answers a client speaking a
-/// newer version with ErrorResponse instead of guessing. Version 2 added
-/// request deadlines (PlaceRequest::DeadlineMs, ResponseStatus::
-/// DeadlineExceeded) and the outcome/latency fields of StatusResponse.
-/// Version 3 added per-request tracing (PlaceRequest::WantTrace,
-/// PlaceResponse::TraceId/TraceJson) and the Metrics message pair. All
-/// additions are appended and decoded only when present, so version-1 and
-/// version-2 frames remain accepted (see MinProtocolVersion).
+/// Bumped on any wire-format change. A frame of any other version fails
+/// closed: the receiver drops the connection instead of guessing at the
+/// format. Version 2 added request deadlines (PlaceRequest::DeadlineMs,
+/// ResponseStatus::DeadlineExceeded) and the outcome/latency fields of
+/// StatusResponse. Version 3 added per-request tracing
+/// (PlaceRequest::WantTrace, PlaceResponse::TraceId/TraceJson) and the
+/// Metrics message pair.
 constexpr uint8_t ProtocolVersion = 3;
 
-/// Oldest frame version still accepted (v1/v2 payloads are strict prefixes
-/// of v3 payloads, so the decoders handle all of them).
-constexpr uint8_t MinProtocolVersion = 1;
+/// Oldest frame version accepted: only the current one.
+constexpr uint8_t MinProtocolVersion = 3;
 
 /// "XSV1" little-endian.
 constexpr uint32_t FrameMagic = 0x31565358u;
@@ -105,7 +103,7 @@ struct PlaceRequest {
   /// by benchmarks and tests that measure the query-tier warmth beneath).
   bool BypassResultCache = false;
   /// Soft deadline for the whole request, milliseconds from admission;
-  /// 0 = none (and what a version-1 client gets). A request still queued
+  /// 0 = none. A request still queued
   /// past its deadline is answered DeadlineExceeded without burning a
   /// worker; one already placing is cooperatively cancelled at the next
   /// Hoare-check/solver-poll boundary. A request that completes in time is
@@ -157,11 +155,9 @@ struct PlaceResponse : core::PlacementCounts {
   bool Replayed = false;       ///< served from the whole-response cache
   bool StoreSkipped = false;   ///< store profile != backend, ran memo-only
 
-  // --- v3 additions (appended; absent in v1/v2 payloads) ---
   /// Daemon-assigned monotonic request id, echoed here and in the daemon's
   /// structured request log (--request-log) so one request can be joined
-  /// across the response, the log line, and an attached trace. 0 from a
-  /// pre-v3 daemon.
+  /// across the response, the log line, and an attached trace.
   uint64_t TraceId = 0;
   /// Chrome trace_event JSON for this request's run (Perfetto-loadable);
   /// empty unless PlaceRequest::WantTrace was set and the run executed.
@@ -171,8 +167,7 @@ struct PlaceResponse : core::PlacementCounts {
   static bool decode(const uint8_t *Data, size_t Size, PlaceResponse &Out);
 };
 
-/// Daemon introspection snapshot. Fields after StoreDir were appended in
-/// protocol v2 and decode to their defaults when absent (v1 daemon).
+/// Daemon introspection snapshot.
 struct StatusResponse {
   uint64_t RequestsServed = 0;
   uint64_t RequestsActive = 0;
@@ -188,7 +183,6 @@ struct StatusResponse {
   std::string StoreProfile;
   std::string StoreDir; ///< empty = resident in-memory store
 
-  // --- v2 additions (appended; absent in v1 payloads) ---
   uint64_t RequestsRejectedFull = 0;     ///< admission: queue at capacity
   uint64_t RequestsRejectedDraining = 0; ///< admission: daemon shutting down
   uint64_t RequestsExpiredQueued = 0;    ///< deadline fired while still queued

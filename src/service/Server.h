@@ -69,8 +69,8 @@ class Tracer;
 }
 namespace service {
 
-/// Configuration shared by expressod, the bench harness's --serve mode, and
-/// the service tests.
+/// Configuration shared by expressod, perfbench `serve`, and the service
+/// tests.
 struct ServerOptions {
   std::string SocketPath;
   unsigned Workers = 2;   ///< concurrent placements (scheduler width)

@@ -371,6 +371,50 @@ TEST(JavaCodegenTest, IntArrayReadsCompareByValue) {
       << Output;
 }
 
+// A method named after a final method of java.lang.Object, and a parameter
+// named after a keyword of both targets: the emitters mangle such names, so
+// the emitted classes still compile.
+TEST(JavaCodegenTest, ReservedNamesAreMangled) {
+  CodegenFixture F(R"(
+    monitor Reserved {
+      int n = 0;
+      void wait() { waituntil (n > 0) { n--; } }
+      void put(int new) { n = n + new; }
+    }
+  )");
+  std::string Dir = ::testing::TempDir() + "/expresso_reserved";
+  std::filesystem::create_directories(Dir);
+  std::string Cpp = codegen::emitCpp(F.Result);
+  {
+    std::ofstream Out(Dir + "/Reserved.cpp");
+    Out << Cpp << "\nint main() { return 0; }\n";
+  }
+  std::string Output;
+  EXPECT_EQ(runCommand("g++ -std=c++17 -fsyntax-only -Wall " + Dir +
+                           "/Reserved.cpp",
+                       Output),
+            0)
+      << Output << "\n---- code ----\n"
+      << Cpp;
+
+  std::string Version;
+  if (runCommand("javac -version", Version) != 0)
+    GTEST_SKIP() << "javac not found";
+  std::string Java = codegen::emitJava(F.Result);
+  EXPECT_NE(Java.find("public void wait_()"), std::string::npos) << Java;
+  {
+    std::ofstream Out(Dir + "/Reserved.java");
+    Out << Java;
+  }
+  Output.clear();
+  EXPECT_EQ(runCommand("javac -encoding UTF-8 -d " + Dir + " " + Dir +
+                           "/Reserved.java",
+                       Output),
+            0)
+      << Output << "\n---- code ----\n"
+      << Java;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, GeneratedCodeCompiles,
                          ::testing::Range(0, 14),
                          [](const ::testing::TestParamInfo<int> &Info) {

@@ -5,7 +5,7 @@
 //
 // Covers the expressod service layer end to end:
 //  * protocol codecs: round trips, truncation/trailing-garbage rejection,
-//    and version-1 compatibility (payloads and frames);
+//    and refusal of frames from any other protocol version;
 //  * CancelToken: deadline/cancel semantics and interrupt hooks;
 //  * JobBudget: elastic FIFO slot leasing;
 //  * RequestScheduler: priority-over-FIFO ordering, bounded-queue
@@ -50,7 +50,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <stdexcept>
@@ -179,40 +178,9 @@ TEST(ServiceTest, PlaceRequestRoundTripsAndRejectsDamage) {
   EXPECT_EQ(Out.DeadlineMs, Req.DeadlineMs);
   EXPECT_EQ(Out.WantTrace, Req.WantTrace);
 
-  // The prefixes that must still decode are the version boundaries: minus
-  // the v3 WantTrace byte is what a v2 client sends; minus the DeadlineMs
-  // varint as well is what a v1 client sends. Both read back with the
-  // absent tails at their defaults.
-  PlaceRequest V1 = Req;
-  V1.DeadlineMs = 0;
-  V1.WantTrace = false;
-  std::vector<uint8_t> V1Bytes;
-  V1.encode(V1Bytes);
-  // DeadlineMs = 0 and WantTrace = false are one zero byte each.
-  ASSERT_EQ(V1Bytes.back(), 0u);
-  ASSERT_EQ(V1Bytes[V1Bytes.size() - 2], 0u);
-  const size_t V1Len = V1Bytes.size() - 2;
-  ASSERT_TRUE(std::equal(V1Bytes.begin(), V1Bytes.begin() + V1Len,
-                         Bytes.begin()));
-  const size_t V2Len = Bytes.size() - 1;
-
-  // Every other strict prefix is malformed (fail closed, no partial
-  // decodes)…
+  // Every strict prefix is malformed (fail closed, no partial decodes)…
   for (size_t Len = 0; Len < Bytes.size(); ++Len) {
     PlaceRequest Trunc;
-    if (Len == V1Len) {
-      ASSERT_TRUE(PlaceRequest::decode(Bytes.data(), Len, Trunc));
-      EXPECT_EQ(Trunc.DeadlineMs, 0u);
-      EXPECT_FALSE(Trunc.WantTrace);
-      EXPECT_EQ(Trunc.Source, Req.Source);
-      continue;
-    }
-    if (Len == V2Len) {
-      ASSERT_TRUE(PlaceRequest::decode(Bytes.data(), Len, Trunc));
-      EXPECT_EQ(Trunc.DeadlineMs, Req.DeadlineMs);
-      EXPECT_FALSE(Trunc.WantTrace);
-      continue;
-    }
     EXPECT_FALSE(PlaceRequest::decode(Bytes.data(), Len, Trunc))
         << "prefix of " << Len << " bytes decoded";
   }
@@ -258,25 +226,11 @@ TEST(ServiceTest, PlaceResponseRoundTripsAndRejectsTruncation) {
   EXPECT_EQ(Out.TraceId, R.TraceId);
   EXPECT_EQ(Out.TraceJson, R.TraceJson);
 
-  // Truncation is checked on the untraced encoding, whose only decodable
-  // strict prefix is the version-2 boundary (minus the TraceId varint and
-  // the empty TraceJson length byte).
-  PlaceResponse V2 = R;
-  V2.TraceId = 0;
-  V2.TraceJson.clear();
-  std::vector<uint8_t> V2Bytes;
-  V2.encode(V2Bytes);
-  const size_t V2Len = V2Bytes.size() - 2;
-  for (size_t Len = 0; Len < V2Bytes.size(); ++Len) {
+  // Every strict prefix is malformed.
+  for (size_t Len = 0; Len < Bytes.size(); ++Len) {
     PlaceResponse Trunc;
-    if (Len == V2Len) {
-      ASSERT_TRUE(PlaceResponse::decode(V2Bytes.data(), Len, Trunc));
-      EXPECT_EQ(Trunc.TraceId, 0u);
-      EXPECT_TRUE(Trunc.TraceJson.empty());
-      EXPECT_EQ(Trunc.Replayed, R.Replayed);
-      continue;
-    }
-    EXPECT_FALSE(PlaceResponse::decode(V2Bytes.data(), Len, Trunc));
+    EXPECT_FALSE(PlaceResponse::decode(Bytes.data(), Len, Trunc))
+        << "prefix of " << Len << " bytes decoded";
   }
 }
 
@@ -380,47 +334,6 @@ TEST(ServiceTest, StatusAndShutdownRoundTrip) {
   ShutdownRequest ShOut;
   ASSERT_TRUE(ShutdownRequest::decode(Bytes.data(), Bytes.size(), ShOut));
   EXPECT_FALSE(ShOut.Drain);
-}
-
-TEST(ServiceTest, StatusV1PayloadDecodesWithV2Defaults) {
-  // A version-1 daemon's StatusResponse ends at StoreDir. Hand-build that
-  // payload — deliberately pinning the v1 field layout — and check the v2
-  // decoder accepts it with every appended field at its default.
-  std::vector<uint8_t> Bytes;
-  persist::ByteWriter B(Bytes);
-  B.writeVarint(5);  // served
-  B.writeVarint(1);  // active
-  B.writeVarint(2);  // queued
-  B.writeVarint(3);  // rejected
-  B.writeVarint(4);  // replay hits
-  B.writeVarint(99); // store records
-  B.writeVarint(6);  // store evicted
-  B.writeVarint(8);  // jobs budget
-  B.writeVarint(7);  // jobs available
-  double Uptime = 1.5;
-  uint64_t UptimeBits;
-  std::memcpy(&UptimeBits, &Uptime, sizeof(UptimeBits));
-  B.writeU64(UptimeBits);
-  B.writeByte(0); // not draining
-  B.writeString("mini");
-  B.writeString("");
-
-  StatusResponse Out;
-  ASSERT_TRUE(StatusResponse::decode(Bytes.data(), Bytes.size(), Out));
-  EXPECT_EQ(Out.RequestsServed, 5u);
-  EXPECT_EQ(Out.RequestsRejected, 3u);
-  EXPECT_EQ(Out.StoreRecords, 99u);
-  EXPECT_EQ(Out.JobsBudget, 8u);
-  EXPECT_DOUBLE_EQ(Out.UptimeSeconds, 1.5);
-  EXPECT_EQ(Out.StoreProfile, "mini");
-  // v2 tail absent → defaults, not garbage.
-  EXPECT_EQ(Out.RequestsRejectedFull, 0u);
-  EXPECT_EQ(Out.RequestsRejectedDraining, 0u);
-  EXPECT_EQ(Out.RequestsExpiredQueued, 0u);
-  EXPECT_EQ(Out.RequestsCancelledRunning, 0u);
-  EXPECT_EQ(Out.RequestsCompleted, 0u);
-  EXPECT_DOUBLE_EQ(Out.LatencyP50Seconds, 0.0);
-  EXPECT_DOUBLE_EQ(Out.LatencyP99Seconds, 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1115,64 +1028,50 @@ TEST(ServiceTest, StatusReflectsServiceState) {
 // Deadlines, cancellation, and daemon failure modes
 //===----------------------------------------------------------------------===//
 
-TEST(ServiceTest, Version1FramesServeAndNewerVersionsFailClosed) {
+TEST(ServiceTest, FramesOfOtherProtocolVersionsFailClosed) {
   TempDir Dir;
   Server Srv(miniServerOptions(Dir.sock()));
   std::string Error;
   ASSERT_TRUE(Srv.start(&Error)) << Error;
 
-  // A v1 client: version byte 1 and a payload ending at the v1 boundary
-  // (no DeadlineMs varint). The daemon must serve it unchanged.
   PlaceRequest Req = benchRequest("BoundedBuffer");
-  std::vector<uint8_t> Payload;
-  Req.encode(Payload);
-  ASSERT_EQ(Payload.back(), 0u); // DeadlineMs = 0 is a single zero byte
-  Payload.pop_back();            // exactly the v1 encoding
-  {
+  std::vector<uint8_t> Full;
+  Req.encode(Full);
+  // DeadlineMs = 0 and WantTrace = false are one zero byte each, so a v2
+  // client's payload lacks the last byte and a v1 client's the last two.
+  ASSERT_EQ(Full.back(), 0u);
+  ASSERT_EQ(Full[Full.size() - 2], 0u);
+  auto ExpectRefused = [&](uint8_t Version, size_t PayloadLen) {
     std::vector<uint8_t> Frame;
     persist::ByteWriter B(Frame);
     B.writeU32(FrameMagic);
-    B.writeByte(MinProtocolVersion);
+    B.writeByte(Version);
     B.writeByte(static_cast<uint8_t>(MsgType::PlaceRequest));
-    B.writeU32(static_cast<uint32_t>(Payload.size()));
-    B.writeU64(persist::fnv1a(Payload.data(), Payload.size()));
-    Frame.insert(Frame.end(), Payload.begin(), Payload.end());
+    B.writeU32(static_cast<uint32_t>(PayloadLen));
+    B.writeU64(persist::fnv1a(Full.data(), PayloadLen));
+    Frame.insert(Frame.end(), Full.begin(), Full.begin() + PayloadLen);
     int Fd = connectUnix(Dir.sock(), &Error);
     ASSERT_GE(Fd, 0) << Error;
     ASSERT_EQ(::write(Fd, Frame.data(), Frame.size()),
               static_cast<ssize_t>(Frame.size()));
     MsgType Type;
     std::vector<uint8_t> Reply;
-    ASSERT_TRUE(recvFrame(Fd, Type, Reply));
-    ASSERT_EQ(Type, MsgType::PlaceResponse);
-    PlaceResponse R;
-    ASSERT_TRUE(PlaceResponse::decode(Reply.data(), Reply.size(), R));
-    EXPECT_EQ(R.Status, ResponseStatus::Ok) << R.Error;
-    EXPECT_EQ(R.DecisionSummary, runLocal("BoundedBuffer").Sigma);
+    EXPECT_FALSE(recvFrame(Fd, Type, Reply))
+        << "a version-" << int(Version) << " frame was answered";
     ::close(Fd);
-  }
-  // A frame claiming a future protocol version is rejected outright (the
-  // daemon will not guess at a format it does not speak).
-  {
-    std::vector<uint8_t> Full;
-    Req.encode(Full);
-    std::vector<uint8_t> Frame;
-    persist::ByteWriter B(Frame);
-    B.writeU32(FrameMagic);
-    B.writeByte(ProtocolVersion + 1);
-    B.writeByte(static_cast<uint8_t>(MsgType::PlaceRequest));
-    B.writeU32(static_cast<uint32_t>(Full.size()));
-    B.writeU64(persist::fnv1a(Full.data(), Full.size()));
-    Frame.insert(Frame.end(), Full.begin(), Full.end());
-    int Fd = connectUnix(Dir.sock(), &Error);
-    ASSERT_GE(Fd, 0) << Error;
-    ASSERT_EQ(::write(Fd, Frame.data(), Frame.size()),
-              static_cast<ssize_t>(Frame.size()));
-    MsgType Type;
-    std::vector<uint8_t> Reply;
-    EXPECT_FALSE(recvFrame(Fd, Type, Reply)); // connection closed
-    ::close(Fd);
-  }
+  };
+  ExpectRefused(1, Full.size() - 2);
+  ExpectRefused(2, Full.size() - 1);
+  // Nor does the daemon guess at a future version's format.
+  ExpectRefused(ProtocolVersion + 1, Full.size());
+
+  // A current client is still served.
+  auto Client = ServiceClient::connect(Dir.sock(), &Error);
+  ASSERT_NE(Client, nullptr) << Error;
+  PlaceResponse R;
+  ASSERT_TRUE(Client->place(Req, R, &Error)) << Error;
+  ASSERT_EQ(R.Status, ResponseStatus::Ok) << R.Error;
+  EXPECT_EQ(R.DecisionSummary, runLocal("BoundedBuffer").Sigma);
 }
 
 TEST(ServiceTest, QueuedDeadlineIsAnsweredWithoutBurningAWorker) {
