@@ -7,10 +7,8 @@
 
 #include "bench/Harness.h"
 
-#include "frontend/Parser.h"
 #include "logic/Printer.h"
 #include "persist/QueryStore.h"
-#include "solver/CachingSolver.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
@@ -61,44 +59,10 @@ HarnessOptions HarnessOptions::fromArgs(int Argc, char **Argv) {
       Opts.Repetitions = static_cast<unsigned>(std::atoi(Arg + 7));
     } else if (std::strcmp(Arg, "--naive") == 0) {
       Opts.IncludeNaive = true;
-    } else if (std::strcmp(Arg, "--no-lazy-broadcast") == 0) {
-      Opts.Placement.LazyBroadcast = false;
-    } else if (std::strcmp(Arg, "--no-invariant") == 0) {
-      Opts.Placement.UseInvariant = false;
-    } else if (std::strcmp(Arg, "--no-commutativity") == 0) {
-      Opts.Placement.UseCommutativity = false;
-    } else if (std::strcmp(Arg, "--no-cache") == 0) {
-      Opts.Placement.CacheQueries = false;
-    } else if (std::strncmp(Arg, "--incremental=", 14) == 0 ||
-               std::strcmp(Arg, "--incremental") == 0) {
-      const char *Value = Arg[13] == '=' ? Arg + 14
-                          : I + 1 < Argc ? Argv[++I]
-                                         : "";
-      if (std::strcmp(Value, "on") == 0)
-        Opts.Placement.Incremental = true;
-      else if (std::strcmp(Value, "off") == 0)
-        Opts.Placement.Incremental = false;
-      else
-        std::fprintf(stderr,
-                     "--incremental expects on|off (got '%s'); keeping %s\n",
-                     Value, Opts.Placement.Incremental ? "on" : "off");
-    } else if (std::strncmp(Arg, "--jobs=", 7) == 0 ||
-               std::strcmp(Arg, "--jobs") == 0) {
-      const char *Value = Arg[6] == '=' ? Arg + 7
-                          : I + 1 < Argc ? Argv[++I]
-                                         : "";
-      int N = std::atoi(Value);
-      unsigned Jobs = std::strcmp(Value, "auto") == 0
-                          ? support::ThreadPool::defaultWorkers()
-                          : N > 0 ? static_cast<unsigned>(N)
-                                  : 0;
-      if (Jobs == 0)
-        std::fprintf(stderr,
-                     "--jobs expects a positive count or \"auto\" (got "
-                     "'%s'); keeping %u\n",
-                     Value, Opts.Placement.Jobs);
-      else
-        Opts.Placement.Jobs = Jobs;
+    } else if (std::string Error; driver::parsePlacementFlag(
+                   Argc, Argv, I, Opts.Placement, Error)) {
+      if (!Error.empty())
+        std::fprintf(stderr, "%s; ignored\n", Error.c_str());
     } else if (std::strncmp(Arg, "--json=", 7) == 0) {
       Opts.JsonPath = Arg + 7;
     } else if (std::strncmp(Arg, "--cache-dir=", 12) == 0) {
@@ -108,17 +72,13 @@ HarnessOptions HarnessOptions::fromArgs(int Argc, char **Argv) {
     } else if (std::strncmp(Arg, "--corpus=", 9) == 0) {
       Opts.CorpusDir = Arg + 9;
     } else if (std::strncmp(Arg, "--build-jobs=", 13) == 0) {
-      const char *Value = Arg + 13;
-      unsigned N = std::strcmp(Value, "auto") == 0
-                       ? support::ThreadPool::defaultWorkers()
-                       : static_cast<unsigned>(std::atoi(Value));
-      if (N == 0)
+      if (unsigned N = driver::parseJobs(Arg + 13))
+        Opts.BuildJobs = N;
+      else
         std::fprintf(stderr,
                      "--build-jobs expects a positive count or \"auto\" "
-                     "(got '%s'); keeping %u\n",
-                     Value, Opts.BuildJobs);
-      else
-        Opts.BuildJobs = N;
+                     "(got '%s'); ignored\n",
+                     Arg + 13);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", Arg);
     }
@@ -141,40 +101,19 @@ openHarnessStore(const HarnessOptions &Opts) {
 BenchContext::BenchContext(const BenchmarkDef &Def,
                            const core::PlacementOptions &Opts,
                            std::shared_ptr<persist::QueryStore> Store)
-    : Def(Def), Store(std::move(Store)) {
-  core::PlacementOptions POpts = Opts;
-  // Placement workers mint private backends matching the primary one.
-  if (POpts.Jobs > 1 && !POpts.WorkerSolvers)
-    POpts.WorkerSolvers = solver::SolverFactory(solver::SolverKind::Default);
+    : Def(Def) {
   WallTimer Timer;
-  DiagnosticEngine Diags;
-  M = frontend::parseMonitor(Def.Source, Diags);
-  if (!M) {
-    std::fprintf(stderr, "benchmark %s failed to parse:\n%s\n",
-                 Def.Name.c_str(), Diags.str().c_str());
+  if (!Comp.frontend(Def.Source)) {
+    std::fprintf(stderr, "benchmark %s failed %s:\n%s\n", Def.Name.c_str(),
+                 Comp.parsed() ? "sema" : "to parse",
+                 Comp.diagnostics().c_str());
     std::abort();
   }
-  Sema = frontend::analyze(*M, C, Diags);
-  if (!Sema) {
-    std::fprintf(stderr, "benchmark %s failed sema:\n%s\n", Def.Name.c_str(),
-                 Diags.str().c_str());
-    std::abort();
-  }
-  Solver = solver::createSolver(solver::SolverKind::Default, C);
-  // Decorate the backend here (rather than relying on placeSignals' internal
-  // wrapping) so one memo table spans the whole analysis and stays available
-  // for any follow-up queries the harness issues. The persistent store (if
-  // any) hangs behind the memo as the second tier.
-  if (POpts.CacheQueries) {
-    auto Cache = solver::CachingSolver::create(C, std::move(Solver));
-    if (Cache && this->Store)
-      Cache->attachStore(this->Store);
-    Solver = std::move(Cache);
-  }
-  Placement = core::placeSignals(C, *Sema, *Solver, POpts);
+  Comp.place(solver::SolverKind::Default, Opts,
+             [&](const std::string &) { return Store; });
   AnalysisSeconds = Timer.elapsedSeconds();
-  ExpressoPlan = SignalPlan::fromPlacement(Placement);
-  GoldPlan = Def.GoldPlan(*Sema);
+  ExpressoPlan = SignalPlan::fromPlacement(Comp.result());
+  GoldPlan = Def.GoldPlan(sema());
   GoldPlan.LazyBroadcast = Opts.LazyBroadcast;
 }
 
@@ -183,13 +122,13 @@ std::unique_ptr<MonitorEngine> BenchContext::makeEngine(EngineKind Kind,
   logic::Assignment Config = Def.Config(Threads);
   switch (Kind) {
   case EngineKind::Expresso:
-    return createExplicitEngine(*Sema, ExpressoPlan, Config);
+    return createExplicitEngine(sema(), ExpressoPlan, Config);
   case EngineKind::Explicit:
-    return createExplicitEngine(*Sema, GoldPlan, Config);
+    return createExplicitEngine(sema(), GoldPlan, Config);
   case EngineKind::AutoSynch:
-    return createAutoSynchEngine(*Sema, Config);
+    return createAutoSynchEngine(sema(), Config);
   case EngineKind::Naive:
-    return createNaiveEngine(*Sema, Config);
+    return createNaiveEngine(sema(), Config);
   }
   return nullptr;
 }
@@ -468,19 +407,12 @@ int bench::tableMain(int Argc, char **Argv) {
   // TermContexts, private solvers, and a thread-safe store — so they fan
   // out across a pool. Rows land in a slot array and render in benchmark
   // order below, keeping the report (and JSON) byte-deterministic whatever
-  // the completion order.
-  unsigned BuildJobs = Opts.BuildJobs;
-  if (BuildJobs > Defs.size())
-    BuildJobs = static_cast<unsigned>(Defs.size());
-  if (BuildJobs > 1) {
-    support::ThreadPool Pool(BuildJobs);
-    Pool.parallelFor(Defs.size(), [&](unsigned, size_t I) {
-      Rows[I] = buildTableRow(*Defs[I], Opts, Store);
-    });
-  } else {
-    for (size_t I = 0; I < Defs.size(); ++I)
-      Rows[I] = buildTableRow(*Defs[I], Opts, Store);
-  }
+  // the completion order. A pool without threads builds inline, in order.
+  unsigned BuildJobs = std::min<unsigned>(Opts.BuildJobs, Defs.size());
+  support::ThreadPool Pool(BuildJobs > 1 ? BuildJobs : 0);
+  Pool.parallelFor(Defs.size(), [&](unsigned, size_t I) {
+    Rows[I] = buildTableRow(*Defs[I], Opts, Store);
+  });
 
   bool FirstRow = true;
   int Exit = 0;

@@ -19,7 +19,7 @@
 #define EXPRESSO_BENCH_HARNESS_H
 
 #include "bench/Workloads.h"
-#include "core/SignalPlacement.h"
+#include "driver/Pipeline.h"
 
 #include <iosfwd>
 #include <memory>
@@ -75,19 +75,14 @@ public:
   std::unique_ptr<runtime::MonitorEngine> makeEngine(EngineKind Kind,
                                                      unsigned Threads) const;
 
-  const core::PlacementResult &placement() const { return Placement; }
+  const core::PlacementResult &placement() const { return Comp.result(); }
   /// Wall-clock seconds for the full static pipeline (Table 1's metric).
   double analysisSeconds() const { return AnalysisSeconds; }
-  const frontend::SemaInfo &sema() const { return *Sema; }
+  const frontend::SemaInfo &sema() const { return *placement().Sema; }
 
 private:
   const BenchmarkDef &Def;
-  logic::TermContext C;
-  std::unique_ptr<frontend::Monitor> M;
-  std::unique_ptr<frontend::SemaInfo> Sema;
-  std::unique_ptr<solver::SmtSolver> Solver;
-  std::shared_ptr<persist::QueryStore> Store; ///< persistent tier, if any
-  core::PlacementResult Placement;
+  driver::Compilation Comp;
   runtime::SignalPlan ExpressoPlan;
   runtime::SignalPlan GoldPlan;
   double AnalysisSeconds = 0;

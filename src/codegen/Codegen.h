@@ -29,7 +29,9 @@
 
 #include "core/SignalPlacement.h"
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace expresso {
 namespace codegen {
@@ -44,6 +46,15 @@ std::string emitCpp(const core::PlacementResult &R);
 /// Emits a Java class implementing the explicit-signal monitor with
 /// ReentrantLock/Condition, following the paper's §6 description.
 std::string emitJava(const core::PlacementResult &R);
+
+/// The artifacts of the CLI's --emit and of a daemon request.
+enum class EmitKind { Summary, Ir, Cpp, Java };
+
+/// "summary", "ir", "cpp" or "java" as an EmitKind; nullopt otherwise.
+std::optional<EmitKind> parseEmitKind(std::string_view Name);
+
+/// The \p Kind artifact of \p R: PlacementResult::summary() or an emitter's.
+std::string emit(const core::PlacementResult &R, EmitKind Kind);
 
 } // namespace codegen
 } // namespace expresso

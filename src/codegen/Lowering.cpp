@@ -7,6 +7,8 @@
 
 #include "codegen/Lowering.h"
 
+#include "codegen/Codegen.h"
+
 #include <cassert>
 #include <unordered_set>
 
@@ -40,7 +42,7 @@ const Spelling codegen::JavaSpelling = {
     &codegen::targetName};
 
 std::string codegen::targetName(std::string_view Name) {
-  static const std::unordered_set<std::string_view> Reserved = {
+  static const std::unordered_set<std::string_view> Words = {
       // C++20 keywords and alternative tokens.
       "alignas", "alignof", "and", "and_eq", "asm", "auto", "bitand",
       "bitor", "bool", "break", "case", "catch", "char", "char8_t",
@@ -63,9 +65,28 @@ std::string codegen::targetName(std::string_view Name) {
       "native", "null", "package", "strictfp", "super", "synchronized",
       "throws", "transient",
       // The final methods of java.lang.Object.
-      "getClass", "notify", "notifyAll", "wait"};
+      "getClass", "notify", "notifyAll", "wait",
+      // Names the emitters declare (C++'s mutex, mod helper and lock guard,
+      // Java's lock, the waiter records, the wake helpers' parameters and
+      // locals) or use unqualified.
+      "m_", "mod_", "lock_", "w_", "lock", "w", "it", "checkPredicate",
+      "all", "std", "java", "Math", "Integer", "Boolean", "Condition",
+      "ReentrantLock"};
+  static const std::unordered_set<std::string_view> ClassStems = {
+      "cv_c", "waiters_c", "wake_c", "WaiterC", "cond_c", "wakeC"};
+  auto Reserved = [](std::string_view N) {
+    // Constructor parameters are a field's name plus "_arg" (C++) or "Arg"
+    // (Java).
+    if (Words.count(N) || N.ends_with("_arg") || N.ends_with("Arg"))
+      return true;
+    // Per-class names: a stem, the class index and, in C++, one '_'.
+    if (N.ends_with('_'))
+      N.remove_suffix(1);
+    size_t Stem = N.find_last_not_of("0123456789") + 1;
+    return Stem > 0 && Stem < N.size() && ClassStems.count(N.substr(0, Stem));
+  };
   std::string Out(Name);
-  if (Reserved.count(Name))
+  while (Reserved(Out))
     Out += '_';
   return Out;
 }
@@ -206,4 +227,21 @@ WakeLowering::wakesAfter(const frontend::WaitUntil *W) const {
       return Wakes[I];
   assert(false && "waituntil not part of this monitor");
   return Wakes.front();
+}
+
+std::optional<EmitKind> codegen::parseEmitKind(std::string_view Name) {
+  static const std::pair<std::string_view, EmitKind> Kinds[] = {
+      {"summary", EmitKind::Summary}, {"ir", EmitKind::Ir},
+      {"cpp", EmitKind::Cpp}, {"java", EmitKind::Java}};
+  for (const auto &[Spelled, Kind] : Kinds)
+    if (Name == Spelled)
+      return Kind;
+  return std::nullopt;
+}
+
+std::string codegen::emit(const core::PlacementResult &R, EmitKind Kind) {
+  return Kind == EmitKind::Ir     ? printTargetIr(R)
+         : Kind == EmitKind::Cpp  ? emitCpp(R)
+         : Kind == EmitKind::Java ? emitJava(R)
+                                  : R.summary();
 }

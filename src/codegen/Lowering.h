@@ -28,10 +28,11 @@ namespace codegen {
 extern const frontend::Spelling CppSpelling;
 extern const frontend::Spelling JavaSpelling;
 
-/// \p Name as an identifier of either target: a C++ or Java keyword, or a
-/// final method of java.lang.Object (which a monitor method named `wait`
-/// would try to override), gets a trailing underscore. Both spellings map
-/// identifiers through it, so the two targets name everything alike.
+/// \p Name as an identifier of either target: a C++ or Java keyword, a final
+/// method of java.lang.Object (which a monitor method named `wait` would try
+/// to override), or a name the emitters declare or use (`lock`, `m_`,
+/// `cv_c0_`, `Math`, ...) gets trailing underscores until it is free. Both
+/// spellings map identifiers through it, so the two targets name alike.
 std::string targetName(std::string_view Name);
 
 /// Renders \p T as a target expression in spelling \p Sp, which must spell

@@ -7,6 +7,7 @@
 
 #include "service/Protocol.h"
 
+#include "codegen/Codegen.h"
 #include "persist/TermCodec.h"
 
 #include <cerrno>
@@ -80,7 +81,8 @@ void PlaceRequest::encode(std::vector<uint8_t> &Out) const {
 bool PlaceRequest::decode(const uint8_t *Data, size_t Size, PlaceRequest &Out) {
   ByteReader B(Data, Size);
   if (!B.readString(Out.Source, MaxFramePayload) ||
-      !B.readString(Out.Emit, 64) || !B.readString(Out.Solver, 64))
+      !B.readString(Out.Emit, 64) || !B.readString(Out.Solver, 64) ||
+      !codegen::parseEmitKind(Out.Emit))
     return false;
   if (!readBool(B, Out.UseInvariant) || !readBool(B, Out.UseCommutativity) ||
       !readBool(B, Out.LazyBroadcast) || !readBool(B, Out.CacheQueries) ||

@@ -90,7 +90,7 @@ enum class Priority : uint8_t { Normal = 0, High = 1 };
 /// CLI's defaults so an empty-option request behaves like `expresso spec`.
 struct PlaceRequest {
   std::string Source;           ///< monitor source text (client-resolved)
-  std::string Emit = "summary"; ///< summary | ir | cpp | java
+  std::string Emit = "summary"; ///< summary | ir | cpp | java, no other
   std::string Solver = "default";
   bool UseInvariant = true;
   bool UseCommutativity = true;

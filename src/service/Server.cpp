@@ -7,14 +7,10 @@
 
 #include "service/Server.h"
 
-#include "codegen/Codegen.h"
-#include "core/SignalPlacement.h"
-#include "frontend/Parser.h"
+#include "driver/Pipeline.h"
 #include "obs/Trace.h"
 #include "persist/TermCodec.h"
-#include "solver/SolverRig.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -201,26 +197,11 @@ PlaceResponse PlacementService::execute(const PlaceRequest &Req,
                                         obs::Tracer *Trace) {
   PlaceResponse R;
   WallTimer Timer;
-
-  // The CLI pipeline, verbatim, against a request-private TermContext.
-  solver::SolverKind Kind = solver::parseSolverKind(Req.Solver);
-  logic::TermContext C;
-  DiagnosticEngine Diags;
-  obs::Span ParseSpan(Trace, "parse");
-  std::unique_ptr<frontend::Monitor> M = frontend::parseMonitor(Req.Source,
-                                                                Diags);
-  ParseSpan.finish();
-  if (!M) {
+  // A request-private compilation: its own TermContext, rig and result.
+  driver::Compilation Comp(Trace);
+  if (!Comp.frontend(Req.Source)) {
     R.Status = ResponseStatus::ParseError;
-    R.Error = Diags.str();
-    return R;
-  }
-  obs::Span SemaSpan(Trace, "sema");
-  std::unique_ptr<frontend::SemaInfo> Sema = frontend::analyze(*M, C, Diags);
-  SemaSpan.finish();
-  if (!Sema) {
-    R.Status = ResponseStatus::ParseError;
-    R.Error = Diags.str();
+    R.Error = Comp.diagnostics();
     return R;
   }
 
@@ -243,21 +224,6 @@ PlaceResponse PlacementService::execute(const PlaceRequest &Req,
     return R;
   }
 
-  // Cross-daemon pickup: a fleet of daemons sharing one --cache-dir sees
-  // each other's appends at request granularity.
-  if (Store && Req.CacheQueries && !Store->inMemory())
-    Store->refresh();
-
-  solver::SolverRig Rig = solver::buildSolverRig(
-      C, Kind, Req.CacheQueries, Req.CacheQueries ? Store : nullptr);
-  if (!Rig) {
-    R.Status = ResponseStatus::SolverUnavailable;
-    R.Error = "solver backend '" + Req.Solver +
-              "' is not available in this build";
-    return R;
-  }
-  R.StoreSkipped = Rig.StoreProfileMismatch;
-
   core::PlacementOptions POpts;
   POpts.UseInvariant = Req.UseInvariant;
   POpts.UseCommutativity = Req.UseCommutativity;
@@ -265,22 +231,31 @@ PlaceResponse PlacementService::execute(const PlaceRequest &Req,
   POpts.CacheQueries = Req.CacheQueries;
   POpts.Incremental = Req.Incremental;
   POpts.Jobs = Lease.slots();
-  // Unconditionally, exactly like the CLI: serial runs still mint session
-  // backends from the factory (the incremental engine is per-worker even
-  // at Jobs == 1).
-  POpts.WorkerSolvers = solver::SolverFactory(Kind);
   POpts.Cancel = Cancel;
-  POpts.Trace = Trace;
-
-  core::PlacementResult Result = core::placeSignals(C, *Sema, Rig.solver(),
-                                                    POpts);
+  driver::PlaceStatus Status = Comp.place(
+      solver::parseSolverKind(Req.Solver), POpts,
+      [&](const std::string &) -> std::shared_ptr<persist::QueryStore> {
+        // Cross-daemon pickup: a fleet of daemons sharing one --cache-dir
+        // sees each other's appends at request granularity.
+        if (Store && Req.CacheQueries && !Store->inMemory())
+          Store->refresh();
+        return Store;
+      });
+  if (Status == driver::PlaceStatus::SolverUnavailable) {
+    R.Status = ResponseStatus::SolverUnavailable;
+    R.Error = "solver backend '" + Req.Solver +
+              "' is not available in this build";
+    return R;
+  }
+  const core::PlacementResult &Result = Comp.result();
   R.AnalysisSeconds = Timer.elapsedSeconds() - BudgetWait;
   static_cast<core::PlacementCounts &>(R) = Result.Stats.counts();
   R.InvariantSeconds = Result.Stats.InvariantSeconds;
   R.JobsUsed = Result.Stats.JobsUsed;
-  R.SolverName = Rig.solver().name();
+  R.SolverName = Comp.rig().solver().name();
+  R.StoreSkipped = Comp.rig().StoreProfileMismatch;
 
-  if (Result.Cancelled) {
+  if (Status == driver::PlaceStatus::Cancelled) {
     // The pipeline wound down cooperatively. Report the partial stats (they
     // tell the client how far it got) but no artifact — a cancelled run's
     // decisions are incomplete and must not look like an answer. Nothing
@@ -292,16 +267,8 @@ PlaceResponse PlacementService::execute(const PlaceRequest &Req,
     return R;
   }
 
-  obs::Span EmitSpan(Trace, "emit");
-  if (Req.Emit == "cpp")
-    R.Artifact = codegen::emitCpp(Result);
-  else if (Req.Emit == "java")
-    R.Artifact = codegen::emitJava(Result);
-  else if (Req.Emit == "ir")
-    R.Artifact = codegen::printTargetIr(Result);
-  else
-    R.Artifact = Result.summary();
-  EmitSpan.finish();
+  // PlaceRequest::decode refuses any other emit kind.
+  R.Artifact = Comp.emit(codegen::parseEmitKind(Req.Emit).value());
   R.DecisionSummary = Result.decisionSummary();
   R.Status = ResponseStatus::Ok;
   return R;

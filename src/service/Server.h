@@ -9,9 +9,10 @@
 /// The resident placement service. Two layers:
 ///
 ///   * PlacementService — the socket-free execution core: runs one
-///     PlaceRequest through the exact CLI pipeline (parse → sema → two-tier
-///     solver rig → placeSignals → emit) against a *fresh TermContext per
-///     request*, with all cross-request warmth flowing through two shared
+///     PlaceRequest through driver::Compilation, the pipeline the CLI
+///     compiles with (parse → sema → two-tier solver rig → placeSignals →
+///     emit), against a *fresh TermContext per request*, with all
+///     cross-request warmth flowing through two shared
 ///     tiers that are sound by construction:
 ///       1. the resident persist::QueryStore (in-memory by default, or the
 ///          --cache-dir store) — keyed by canonical term blobs, so request

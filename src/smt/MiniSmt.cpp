@@ -530,32 +530,31 @@ SmtResult MiniSmt::checkSat(const Term *F) {
                                                 : Value::ofInt(V);
       }
     }
-    // Default any variable (of the processed or original formula) not
-    // constrained by the theory.
-    for (const Term *V : freeVars(F)) {
-      if (Result.Model.count(V->varName()))
-        continue;
+    // Default any variable the theory left unconstrained: of the processed
+    // formula, every select variable (b[i]'s in a[b[i]] > 0 occurs only as
+    // another select's index) and every input (i in a[i] > 0 occurs only
+    // inside a select).
+    std::vector<const Term *> Unconstrained = freeVars(F);
+    for (const auto &[SelectTerm, FreshVar] : SelectVars)
+      Unconstrained.push_back(FreshVar);
+    for (const Term *V : Unconstrained) {
       if (V->sort() == Sort::Int)
-        Result.Model[V->varName()] = Value::ofInt(0);
+        Result.Model.try_emplace(V->varName(), Value::ofInt(0));
       else if (V->sort() == Sort::Bool)
-        Result.Model[V->varName()] = Value::ofBool(false);
+        Result.Model.try_emplace(V->varName(), Value::ofBool(false));
     }
-    // Reconstruct array models from Ackermann select variables.
-    std::map<const Term *, Value, logic::TermIdLess> ArrayVals;
+    FillDefaults(Result.Model);
+    // Reconstruct array models from Ackermann select variables. Select keys
+    // carry rewritten indices, so a nested read's index is the inner read's
+    // select variable, already bound to the inner array's element.
     for (const auto &[SelectTerm, FreshVar] : SelectVars) {
       const Term *Array = SelectTerm->operand(0);
-      const Term *Index = SelectTerm->operand(1);
-      auto VIt = Result.Model.find(FreshVar->varName());
-      if (VIt == Result.Model.end())
-        continue;
-      int64_t IdxVal = evaluate(Index, Result.Model).asInt();
-      auto [AIt, Inserted] = ArrayVals.try_emplace(
-          Array, Value::ofArray(Array->sort(), {}, 0));
-      AIt->second.A[IdxVal] = VIt->second.I;
+      int64_t IdxVal = evaluate(SelectTerm->operand(1), Result.Model).asInt();
+      Value &AV = Result.Model.try_emplace(Array->varName(),
+                                           Value::ofArray(Array->sort(), {}, 0))
+                      .first->second;
+      AV.A[IdxVal] = Result.Model.at(FreshVar->varName()).I;
     }
-    for (const auto &[Array, AV] : ArrayVals)
-      Result.Model[Array->varName()] = AV;
-    FillDefaults(Result.Model);
     return Result;
   }
   return Result; // Unknown: round budget exhausted

@@ -6,14 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One constructor for the solver stack every analysis surface uses: a
-/// backend of the requested kind, optionally wrapped in the sharded
-/// CachingSolver memo, optionally backed by a persist::QueryStore as the
-/// second tier. The CLI, the bench harness, and the placement service all
-/// assemble the identical stack through buildSolverRig, so the three
-/// surfaces cannot drift apart in how caching is wired — which is half of
-/// the cross-surface determinism argument (the other half being that Σ is a
-/// pure function of (spec, backend profile) regardless of cache state).
+/// The analysis solver stack: a backend of the requested kind, optionally
+/// wrapped in the sharded CachingSolver memo, optionally backed by a
+/// persist::QueryStore as the second tier. Every surface compiles through
+/// driver::Compilation, which assembles it here.
 ///
 /// Profile safety is centralized here: a store is attached only when its
 /// profile names the backend that will answer misses. The daemon relies on
@@ -55,9 +51,6 @@ struct SolverRig {
   SmtSolver &solver() {
     return Cache ? static_cast<SmtSolver &>(*Cache) : *Backend;
   }
-
-  /// Cache counters (zeros when caching is off).
-  CacheStats cacheStats() const { return Cache ? Cache->stats() : CacheStats(); }
 };
 
 /// Builds the analysis solver stack: backend of \p Kind bound to \p C,

@@ -7,13 +7,11 @@
 
 #include "specgen/Diff.h"
 
-#include "core/SignalPlacement.h"
+#include "driver/Pipeline.h"
 #include "frontend/Parser.h"
 #include "persist/QueryStore.h"
 #include "service/Client.h"
 #include "service/Server.h"
-#include "solver/SolverFactory.h"
-#include "solver/SolverRig.h"
 #include "specgen/SpecGen.h"
 #include "support/Timer.h"
 
@@ -75,51 +73,38 @@ namespace {
 
 RunResult runLocalCell(const std::string &Source, const RunSpec &Cell) {
   RunResult Out;
-  DiagnosticEngine Diags;
-  auto M = frontend::parseMonitor(Source, Diags);
-  if (!M) {
-    Out.Message = "parse error:\n" + Diags.str();
+  driver::Compilation Comp;
+  if (!Comp.frontend(Source)) {
+    Out.Message = (Comp.parsed() ? "sema error:\n" : "parse error:\n") +
+                  Comp.diagnostics();
     return Out;
   }
-  logic::TermContext C;
-  auto Sema = frontend::analyze(*M, C, Diags);
-  if (!Sema) {
-    Out.Message = "sema error:\n" + Diags.str();
-    return Out;
-  }
-  std::string Profile = solver::backendProfileName(Cell.Backend);
-  if (Profile.empty()) {
+  core::PlacementOptions Opts;
+  Opts.CacheQueries = Cell.Cache != CacheMode::Off;
+  Opts.Incremental = Cell.Incremental;
+  Opts.Jobs = Cell.Jobs;
+  bool WantStore = Opts.CacheQueries && !Cell.CacheDir.empty();
+  std::shared_ptr<persist::QueryStore> Store;
+  driver::PlaceStatus Status =
+      Comp.place(Cell.Backend, Opts, [&](const std::string &Profile) {
+        if (WantStore)
+          Store = persist::QueryStore::openReportingWarnings(
+              Cell.CacheDir, /*ReadOnly=*/false, Profile,
+              /*CacheEnabled=*/true);
+        return Store;
+      });
+  if (Status == driver::PlaceStatus::SolverUnavailable) {
     Out.Message = std::string("backend '") + kindName(Cell.Backend) +
                   "' unavailable in this build";
     return Out;
   }
-  bool CacheQueries = Cell.Cache != CacheMode::Off;
-  std::shared_ptr<persist::QueryStore> Store;
-  if (CacheQueries && !Cell.CacheDir.empty()) {
-    Store = persist::QueryStore::openReportingWarnings(
-        Cell.CacheDir, /*ReadOnly=*/false, Profile, CacheQueries);
-    if (!Store) {
-      Out.Message = "cannot open cache dir " + Cell.CacheDir;
-      return Out;
-    }
-  }
-  solver::SolverRig Rig =
-      solver::buildSolverRig(C, Cell.Backend, CacheQueries, Store);
-  if (!Rig) {
-    Out.Message = std::string("solver rig for '") + kindName(Cell.Backend) +
-                  "' unavailable";
+  if (WantStore && !Store) {
+    Out.Message = "cannot open cache dir " + Cell.CacheDir;
     return Out;
   }
-  core::PlacementOptions Opts;
-  Opts.CacheQueries = CacheQueries;
-  Opts.Incremental = Cell.Incremental;
-  Opts.Jobs = Cell.Jobs;
-  Opts.WorkerSolvers = solver::SolverFactory(Cell.Backend);
-  core::PlacementResult R = core::placeSignals(C, *Sema, Rig.solver(), Opts);
-
   Out.St = RunResult::Status::Ok;
-  Out.Sigma = R.decisionSummary();
-  Out.Counts = R.Stats.counts();
+  Out.Sigma = Comp.result().decisionSummary();
+  Out.Counts = Comp.result().Stats.counts();
   return Out;
 }
 
@@ -794,15 +779,8 @@ private:
 /// diverges under a (cheaper) matrix run.
 bool stillFails(const std::string &Candidate, const DiffOptions &Opts,
                 const std::string &Scratch) {
-  {
-    DiagnosticEngine Diags;
-    auto M = frontend::parseMonitor(Candidate, Diags);
-    if (!M)
-      return false;
-    logic::TermContext C;
-    if (!frontend::analyze(*M, C, Diags))
-      return false;
-  }
+  if (!driver::Compilation().frontend(Candidate))
+    return false;
   DiffOptions Cheap = Opts;
   Cheap.Shrink = false;
   Cheap.UseDaemon = false; // daemon-only divergences simply stop shrinking
@@ -963,15 +941,10 @@ SpecVerdict specgen::checkSpec(const std::string &Source,
 
   // Reject unparseable input up front: no cell would get past the
   // frontend, so there is no parity question to ask.
-  {
-    DiagnosticEngine Diags;
-    auto M = frontend::parseMonitor(Source, Diags);
-    logic::TermContext C;
-    if (!M || !frontend::analyze(*M, C, Diags)) {
-      Verdict.K = SpecVerdict::Kind::Invalid;
-      Verdict.Detail = Diags.str();
-      return Verdict;
-    }
+  if (driver::Compilation Comp; !Comp.frontend(Source)) {
+    Verdict.K = SpecVerdict::Kind::Invalid;
+    Verdict.Detail = Comp.diagnostics();
+    return Verdict;
   }
 
   ScratchDir Scratch(Opts.ScratchDir);

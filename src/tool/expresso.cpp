@@ -22,17 +22,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/Workloads.h"
-#include "codegen/Codegen.h"
-#include "core/SignalPlacement.h"
-#include "frontend/Parser.h"
-#include "logic/Printer.h"
+#include "driver/Pipeline.h"
 #include "obs/Trace.h"
 #include "persist/QueryStore.h"
 #include "service/Client.h"
-#include "solver/SolverRig.h"
 #include "specgen/SpecGen.h"
 #include "support/CancelToken.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <cinttypes>
@@ -123,14 +118,6 @@ void printUsage() {
       "  cache compact <dir> [--profile=NAME] [--cache-max-bytes=N]\n"
       "                [--cache-ttl=SECONDS]\n"
       "        rewrite the log deduplicated, enforcing the eviction policy\n");
-}
-
-/// Parses a --jobs value: a positive count or "auto"; 0 means invalid.
-unsigned parseJobs(const char *Value) {
-  if (std::strcmp(Value, "auto") == 0)
-    return support::ThreadPool::defaultWorkers();
-  int N = std::atoi(Value);
-  return N > 0 ? static_cast<unsigned>(N) : 0;
 }
 
 /// Writes a Chrome trace JSON blob to \p Path. False with a diagnostic
@@ -256,7 +243,7 @@ int cacheWarm(int Argc, char **Argv) {
         return 2;
       Specs.push_back(std::move(S));
     } else if (std::strncmp(Arg, "--jobs=", 7) == 0) {
-      Jobs = parseJobs(Arg + 7);
+      Jobs = driver::parseJobs(Arg + 7);
       if (Jobs == 0) {
         std::fprintf(stderr, "cache warm: bad --jobs value\n");
         return 2;
@@ -300,33 +287,21 @@ int cacheWarm(int Argc, char **Argv) {
 
   for (const Spec &S : Specs) {
     size_t Before = Store->size();
-    logic::TermContext C;
-    DiagnosticEngine Diags;
-    auto M = frontend::parseMonitor(S.Source, Diags);
-    if (!M) {
-      std::fprintf(stderr, "cache warm: %s failed to parse:\n%s",
-                   S.Label.c_str(), Diags.str().c_str());
+    driver::Compilation Comp;
+    if (!Comp.frontend(S.Source)) {
+      std::fprintf(stderr, "cache warm: %s failed %s:\n%s", S.Label.c_str(),
+                   Comp.parsed() ? "sema" : "to parse",
+                   Comp.diagnostics().c_str());
       return 1;
     }
-    auto Sema = frontend::analyze(*M, C, Diags);
-    if (!Sema) {
-      std::fprintf(stderr, "cache warm: %s failed sema:\n%s", S.Label.c_str(),
-                   Diags.str().c_str());
-      return 1;
-    }
-    solver::SolverRig Rig = solver::buildSolverRig(C, Kind,
-                                                   /*CacheQueries=*/true,
-                                                   Store);
     core::PlacementOptions Opts;
     Opts.Jobs = Jobs;
-    Opts.WorkerSolvers = solver::SolverFactory(Kind);
     WallTimer Timer;
-    core::PlacementResult Result = core::placeSignals(C, *Sema, Rig.solver(),
-                                                      Opts);
+    Comp.place(Kind, Opts, [&](const std::string &) { return Store; });
     std::printf("warmed %-28s %6.2fs  %zu solver queries, store %zu -> %zu "
                 "records\n",
                 S.Label.c_str(), Timer.elapsedSeconds(),
-                Result.Stats.SolverQueries, Before, Store->size());
+                Comp.result().Stats.SolverQueries, Before, Store->size());
   }
   return 0;
 }
@@ -517,17 +492,11 @@ int specgenMain(int Argc, char **Argv) {
                    Error.c_str());
       return 1;
     }
-    DiagnosticEngine Diags;
-    auto M = frontend::parseMonitor(Source, Diags);
-    if (!M) {
-      std::fprintf(stderr, "specgen: generated spec does not parse\n%s",
-                   Diags.str().c_str());
-      return 1;
-    }
-    logic::TermContext C;
-    if (!frontend::analyze(*M, C, Diags)) {
-      std::fprintf(stderr, "specgen: generated spec fails sema\n%s",
-                   Diags.str().c_str());
+    driver::Compilation Comp;
+    if (!Comp.frontend(Source)) {
+      std::fprintf(stderr, "specgen: generated spec %s\n%s",
+                   Comp.parsed() ? "fails sema" : "does not parse",
+                   Comp.diagnostics().c_str());
       return 1;
     }
     std::fprintf(stderr, "specgen: ok (parses, passes sema)\n");
@@ -572,7 +541,7 @@ void printCounterLines(const core::PlacementCounts &K, bool CacheQueries,
 /// --emit=summary everything up to the statistics trailer) are
 /// byte-identical to a local run; the trailer reports daemon-side stats.
 int runConnected(const std::string &SocketPath,
-                 const service::PlaceRequest &Req, const std::string &Emit,
+                 const service::PlaceRequest &Req, codegen::EmitKind Emit,
                  double DeadlineSeconds, const std::string &TraceOutPath) {
   std::string Error;
   std::unique_ptr<service::ServiceClient> Client =
@@ -609,7 +578,7 @@ int runConnected(const std::string &SocketPath,
     return 1;
   }
   std::fputs(R.Artifact.c_str(), stdout);
-  if (Emit != "cpp" && Emit != "java" && Emit != "ir") {
+  if (Emit == codegen::EmitKind::Summary) {
     std::printf("\nstatistics (served by expressod):\n");
     std::printf("  solver backend:       %s\n", R.SolverName.c_str());
     printCounterLines(R, Req.CacheQueries, "shared warm cache:",
@@ -724,7 +693,7 @@ int main(int Argc, char **Argv) {
   if (Argc >= 2 && std::strcmp(Argv[1], "specgen") == 0)
     return specgenMain(Argc - 2, Argv + 2);
 
-  std::string EmitKind = "summary";
+  std::string EmitName = "summary";
   std::string SolverName = "default";
   std::string BenchName;
   std::string InputPath;
@@ -746,33 +715,17 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
     if (std::strncmp(Arg, "--emit=", 7) == 0) {
-      EmitKind = Arg + 7;
+      EmitName = Arg + 7;
     } else if (std::strncmp(Arg, "--solver=", 9) == 0) {
       SolverName = Arg + 9;
     } else if (std::strncmp(Arg, "--benchmark=", 12) == 0) {
       BenchName = Arg + 12;
     } else if (std::strcmp(Arg, "--list-benchmarks") == 0) {
       ListBenchmarks = true;
-    } else if (std::strcmp(Arg, "--no-invariant") == 0) {
-      Options.UseInvariant = false;
-    } else if (std::strcmp(Arg, "--no-commutativity") == 0) {
-      Options.UseCommutativity = false;
-    } else if (std::strcmp(Arg, "--no-lazy-broadcast") == 0) {
-      Options.LazyBroadcast = false;
-    } else if (std::strcmp(Arg, "--no-cache") == 0) {
-      Options.CacheQueries = false;
-    } else if (std::strncmp(Arg, "--incremental=", 14) == 0 ||
-               std::strcmp(Arg, "--incremental") == 0) {
-      const char *Value = Arg[13] == '=' ? Arg + 14
-                          : I + 1 < Argc ? Argv[++I]
-                                         : "";
-      if (std::strcmp(Value, "on") == 0) {
-        Options.Incremental = true;
-      } else if (std::strcmp(Value, "off") == 0) {
-        Options.Incremental = false;
-      } else {
-        std::fprintf(stderr, "--incremental expects on|off (got '%s')\n",
-                     Value);
+    } else if (std::string Error;
+               driver::parsePlacementFlag(Argc, Argv, I, Options, Error)) {
+      if (!Error.empty()) {
+        std::fprintf(stderr, "%s\n", Error.c_str());
         return 1;
       }
     } else if (std::strncmp(Arg, "--cache-dir=", 12) == 0) {
@@ -832,19 +785,6 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "unknown option: %s\n", Arg);
         return 1;
       }
-    } else if (std::strncmp(Arg, "--jobs=", 7) == 0 ||
-               std::strcmp(Arg, "--jobs") == 0) {
-      const char *Value = Arg[6] == '=' ? Arg + 7
-                          : I + 1 < Argc ? Argv[++I]
-                                         : "";
-      Options.Jobs = parseJobs(Value);
-      if (Options.Jobs == 0) {
-        std::fprintf(stderr,
-                     "--jobs expects a positive count or \"auto\" (got "
-                     "'%s')\n",
-                     Value);
-        return 1;
-      }
     } else if (std::strcmp(Arg, "--help") == 0 || std::strcmp(Arg, "-h") == 0) {
       printUsage();
       return 0;
@@ -855,6 +795,13 @@ int main(int Argc, char **Argv) {
     } else {
       InputPath = Arg;
     }
+  }
+
+  std::optional<codegen::EmitKind> Emit = codegen::parseEmitKind(EmitName);
+  if (!Emit) {
+    std::fprintf(stderr, "--emit expects summary|ir|cpp|java (got '%s')\n",
+                 EmitName.c_str());
+    return 1;
   }
 
   if (ListBenchmarks) {
@@ -890,7 +837,7 @@ int main(int Argc, char **Argv) {
   if (!ConnectPath.empty()) {
     service::PlaceRequest Req;
     Req.Source = Source;
-    Req.Emit = EmitKind;
+    Req.Emit = EmitName;
     Req.Solver = SolverName;
     Req.UseInvariant = Options.UseInvariant;
     Req.UseCommutativity = Options.UseCommutativity;
@@ -902,66 +849,20 @@ int main(int Argc, char **Argv) {
     Req.BypassResultCache = NoResultCache;
     Req.DeadlineMs = static_cast<uint64_t>(DeadlineSeconds * 1000.0);
     Req.WantTrace = !TraceOutPath.empty();
-    return runConnected(ConnectPath, Req, EmitKind, DeadlineSeconds,
+    return runConnected(ConnectPath, Req, *Emit, DeadlineSeconds,
                         TraceOutPath);
   }
 
-  // Pipeline: parse -> sema -> invariant -> placement.
+  // Pipeline: parse -> sema -> invariant -> placement -> emit.
   std::unique_ptr<obs::Tracer> Tracer;
   if (!TraceOutPath.empty())
     Tracer = std::make_unique<obs::Tracer>();
   WallTimer Timer;
-  DiagnosticEngine Diags;
-  obs::Span ParseSpan(Tracer.get(), "parse");
-  auto M = frontend::parseMonitor(Source, Diags);
-  ParseSpan.finish();
-  if (!M) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
+  driver::Compilation Comp(Tracer.get());
+  if (!Comp.frontend(Source)) {
+    std::fprintf(stderr, "%s", Comp.diagnostics().c_str());
     return 1;
   }
-  logic::TermContext C;
-  obs::Span SemaSpan(Tracer.get(), "sema");
-  auto Sema = frontend::analyze(*M, C, Diags);
-  SemaSpan.finish();
-  if (!Sema) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
-    return 1;
-  }
-  solver::SolverKind Kind = solver::parseSolverKind(SolverName);
-
-  // Solver availability is checked *before* the store opens: a writable
-  // open of --cache-dir rotates profile-mismatched logs aside, and an
-  // unbuildable backend must stay a pure error path with no side effects
-  // on the cache directory.
-  std::string Profile = solver::backendProfileName(Kind);
-  if (Profile.empty()) {
-    std::fprintf(stderr, "solver backend '%s' is not available in this "
-                         "build\n",
-                 SolverName.c_str());
-    return 1;
-  }
-
-  // Two-tier cache via the shared rig (identical assembly to the daemon
-  // and the bench harness): sharded memo in front, persistent store
-  // behind, keyed per backend profile so a directory warmed by
-  // --solver=mini never answers for z3.
-  std::shared_ptr<persist::QueryStore> Store =
-      persist::QueryStore::openReportingWarnings(CacheDir, CacheReadOnly,
-                                                 Profile,
-                                                 Options.CacheQueries);
-  if (Store)
-    Store->setEvictionPolicy(Eviction);
-  solver::SolverRig Rig = solver::buildSolverRig(C, Kind,
-                                                 Options.CacheQueries, Store);
-  if (!Rig) {
-    std::fprintf(stderr, "solver backend '%s' is not available in this "
-                         "build\n",
-                 SolverName.c_str());
-    return 1;
-  }
-  solver::SmtSolver &PlacementSolver = Rig.solver();
-  // Each placement worker gets its own backend of the same kind.
-  Options.WorkerSolvers = solver::SolverFactory(Kind);
 
   // Deadline: cooperative, polled at Hoare-check granularity through the
   // whole pipeline. A run finishing in time is untouched by the token.
@@ -970,13 +871,26 @@ int main(int Argc, char **Argv) {
     Deadline.setDeadlineAfterSeconds(DeadlineSeconds);
     Options.Cancel = &Deadline;
   }
-  Options.Trace = Tracer.get();
 
-  core::PlacementResult Result =
-      core::placeSignals(C, *Sema, PlacementSolver, Options);
+  std::shared_ptr<persist::QueryStore> Store;
+  driver::PlaceStatus Status = Comp.place(
+      solver::parseSolverKind(SolverName), Options,
+      [&](const std::string &Profile) {
+        Store = persist::QueryStore::openReportingWarnings(
+            CacheDir, CacheReadOnly, Profile, Options.CacheQueries);
+        if (Store)
+          Store->setEvictionPolicy(Eviction);
+        return Store;
+      });
   double Elapsed = Timer.elapsedSeconds();
-
-  if (Result.Cancelled) {
+  if (Status == driver::PlaceStatus::SolverUnavailable) {
+    std::fprintf(stderr, "solver backend '%s' is not available in this "
+                         "build\n",
+                 SolverName.c_str());
+    return 1;
+  }
+  const core::PlacementResult &Result = Comp.result();
+  if (Status == driver::PlaceStatus::Cancelled) {
     std::fprintf(stderr,
                  "expresso: deadline of %gs exceeded during %s "
                  "(%zu hoare checks, %zu solver queries before "
@@ -995,18 +909,11 @@ int main(int Argc, char **Argv) {
   if (Store && !Store->readOnly() && Eviction.enabled())
     Store->compact();
 
-  obs::Span EmitSpan(Tracer.get(), "emit");
-  if (EmitKind == "cpp") {
-    std::fputs(codegen::emitCpp(Result).c_str(), stdout);
-  } else if (EmitKind == "java") {
-    std::fputs(codegen::emitJava(Result).c_str(), stdout);
-  } else if (EmitKind == "ir") {
-    std::fputs(codegen::printTargetIr(Result).c_str(), stdout);
-  } else {
-    std::fputs(Result.summary().c_str(), stdout);
+  std::fputs(Comp.emit(*Emit).c_str(), stdout);
+  if (*Emit == codegen::EmitKind::Summary) {
     std::printf("\nstatistics:\n");
     std::printf("  solver backend:       %s\n",
-                PlacementSolver.name().c_str());
+                Comp.rig().solver().name().c_str());
     // The persistent-cache line additionally reports store eviction when an
     // eviction policy ran (suffix only: the prefix stays grep-stable).
     std::string TierSuffix = Store ? (Store->readOnly() ? " [read-only]" : "")
@@ -1039,7 +946,6 @@ int main(int Argc, char **Argv) {
                   WS.BusySeconds);
     }
   }
-  EmitSpan.finish();
   if (Tracer && !writeTraceFile(TraceOutPath, Tracer->exportChromeJson()))
     return 1;
   return 0;

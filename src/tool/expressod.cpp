@@ -18,8 +18,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Pipeline.h"
 #include "service/Server.h"
-#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -102,17 +102,11 @@ int main(int Argc, char **Argv) {
       }
       Opts.QueueDepth = static_cast<size_t>(N);
     } else if (std::strncmp(Arg, "--jobs-budget=", 14) == 0) {
-      const char *Value = Arg + 14;
-      if (std::strcmp(Value, "auto") == 0) {
-        Opts.JobsBudget = support::ThreadPool::defaultWorkers();
-      } else {
-        int N = std::atoi(Value);
-        if (N <= 0) {
-          std::fprintf(stderr,
-                       "--jobs-budget expects a positive count or \"auto\"\n");
-          return 1;
-        }
-        Opts.JobsBudget = static_cast<unsigned>(N);
+      Opts.JobsBudget = driver::parseJobs(Arg + 14);
+      if (Opts.JobsBudget == 0) {
+        std::fprintf(stderr,
+                     "--jobs-budget expects a positive count or \"auto\"\n");
+        return 1;
       }
     } else if (std::strncmp(Arg, "--solver=", 9) == 0) {
       Opts.SolverName = Arg + 9;

@@ -415,6 +415,56 @@ TEST(JavaCodegenTest, ReservedNamesAreMangled) {
       << Java;
 }
 
+// The emitters declare names of their own (Java's lock, C++'s m_, mod_,
+// lock_ and w_, the wake helpers' w and it) and call Math.floorMod. A
+// monitor field or parameter of such a name must neither clash with them
+// nor hide them: each one-name monitor below must still compile.
+TEST(CodegenTest, EmitterNamesAreReserved) {
+  const char *Names[] = {"lock", "m_", "mod_", "lock_", "w_", "Math", "w",
+                         "it"};
+  std::string Dir = ::testing::TempDir() + "/expresso_clash";
+  std::filesystem::create_directories(Dir);
+  std::string Cpp, JavaPaths;
+  for (size_t I = 0; I < std::size(Names); ++I) {
+    std::string N = Names[I];
+    // The guards' floor mod and thread-local operand give each monitor a
+    // mod_ call, a Math.floorMod call and a waiter registry with its wake
+    // helper.
+    std::string Field = "monitor ClashField" + std::to_string(I) + " { int " +
+                        N + " = 0;\n void get(int k) { waituntil (" + N +
+                        " % 3 == 0 && " + N + " > k) { " + N + " = " + N +
+                        " - 1; } }\n void put() { " + N + " = " + N +
+                        " + 1; } }";
+    std::string Param = "monitor ClashParam" + std::to_string(I) +
+                        " { int n = 0;\n void get(int " + N +
+                        ") { waituntil (n % 3 == 0 && n > " + N +
+                        ") { n = n - 1; } }\n void put() { n = n + 1; } }";
+    for (const std::string &Source : {Field, Param}) {
+      CodegenFixture F(Source);
+      Cpp += codegen::emitCpp(F.Result);
+      std::string Path = Dir + "/" + F.M->Name + ".java";
+      std::ofstream(Path) << codegen::emitJava(F.Result);
+      JavaPaths += " " + Path;
+    }
+  }
+  std::ofstream(Dir + "/Clash.cpp") << Cpp << "\nint main() { return 0; }\n";
+  std::string Output;
+  EXPECT_EQ(runCommand("g++ -std=c++17 -fsyntax-only -Wall " + Dir +
+                           "/Clash.cpp",
+                       Output),
+            0)
+      << Output << "\n---- code ----\n"
+      << Cpp;
+
+  std::string Version;
+  if (runCommand("javac -version", Version) != 0)
+    GTEST_SKIP() << "javac not found";
+  Output.clear();
+  EXPECT_EQ(runCommand("javac -encoding UTF-8 -d " + Dir + JavaPaths, Output),
+            0)
+      << Output;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, GeneratedCodeCompiles,
                          ::testing::Range(0, 14),
                          [](const ::testing::TestParamInfo<int> &Info) {

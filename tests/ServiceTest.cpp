@@ -97,6 +97,8 @@ struct LocalRun {
   std::string Sigma;
   std::string Summary;
   std::string Ir;
+  std::string Cpp;
+  std::string Java;
 };
 
 LocalRun runLocal(const std::string &BenchName,
@@ -117,7 +119,8 @@ LocalRun runLocal(const std::string &BenchName,
   Opts.Cancel = Cancel;
   core::PlacementResult P = core::placeSignals(C, *Sema, Rig.solver(), Opts);
   EXPECT_FALSE(P.Cancelled);
-  return {P.decisionSummary(), P.summary(), codegen::printTargetIr(P)};
+  return {P.decisionSummary(), P.summary(), codegen::printTargetIr(P),
+          codegen::emitCpp(P), codegen::emitJava(P)};
 }
 
 PlaceRequest benchRequest(const std::string &BenchName,
@@ -648,7 +651,7 @@ TEST(ServiceTest, DaemonMatchesLocalSigmaOnEveryWorkload) {
   Srv.wait();
 }
 
-TEST(ServiceTest, DaemonIrArtifactIsByteIdenticalToLocal) {
+TEST(ServiceTest, DaemonArtifactsAreByteIdenticalToLocal) {
   TempDir Dir;
   Server Srv(miniServerOptions(Dir.sock()));
   std::string Error;
@@ -658,11 +661,43 @@ TEST(ServiceTest, DaemonIrArtifactIsByteIdenticalToLocal) {
   for (const std::string &Name :
        {std::string("BoundedBuffer"), std::string("ReadersWriters"),
         std::string("AsyncDispatch")}) {
-    PlaceResponse R;
-    ASSERT_TRUE(Client->place(benchRequest(Name, "ir"), R, &Error)) << Error;
-    ASSERT_EQ(R.Status, ResponseStatus::Ok) << R.Error;
-    EXPECT_EQ(R.Artifact, runLocal(Name).Ir) << Name;
+    LocalRun Local = runLocal(Name);
+    for (const auto &[Emit, Expected] :
+         {std::pair<std::string, std::string>{"ir", Local.Ir},
+          {"cpp", Local.Cpp},
+          {"java", Local.Java}}) {
+      PlaceResponse R;
+      ASSERT_TRUE(Client->place(benchRequest(Name, Emit), R, &Error))
+          << Error;
+      ASSERT_EQ(R.Status, ResponseStatus::Ok) << R.Error;
+      EXPECT_EQ(R.Artifact, Expected) << Name << " --emit=" << Emit;
+    }
   }
+}
+
+// An emit kind outside summary|ir|cpp|java is refused at decode, so the
+// daemon answers Malformed instead of silently printing a summary.
+TEST(ServiceTest, UnknownEmitKindIsMalformed) {
+  PlaceRequest Req = benchRequest("BoundedBuffer", "c++");
+  std::vector<uint8_t> Payload;
+  Req.encode(Payload);
+  PlaceRequest Out;
+  EXPECT_FALSE(PlaceRequest::decode(Payload.data(), Payload.size(), Out));
+
+  TempDir Dir;
+  Server Srv(miniServerOptions(Dir.sock()));
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  auto Client = ServiceClient::connect(Dir.sock(), &Error);
+  ASSERT_NE(Client, nullptr) << Error;
+  PlaceResponse R;
+  ASSERT_TRUE(Client->place(Req, R, &Error)) << Error;
+  EXPECT_EQ(R.Status, ResponseStatus::Malformed);
+  EXPECT_TRUE(R.Artifact.empty());
+  // The connection stays usable for a well-formed request.
+  ASSERT_TRUE(Client->place(benchRequest("BoundedBuffer", "cpp"), R, &Error))
+      << Error;
+  EXPECT_EQ(R.Status, ResponseStatus::Ok) << R.Error;
 }
 
 TEST(ServiceTest, ConcurrentClientsAllGetParityAndTheServerSurvives) {

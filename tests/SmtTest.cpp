@@ -356,6 +356,36 @@ TEST_F(MiniSmtTest, ArraysViaAckermann) {
   EXPECT_TRUE(evaluateBool(G, R.Model));
 }
 
+// An index that occurs only inside one select is in no theory atom, yet
+// rebuilding the array needs its value.
+TEST_F(MiniSmtTest, ArrayModelBindsIndexOnlyInASelect) {
+  const Term *A = C.var("a", Sort::IntArray);
+  const Term *I = C.var("i", Sort::Int);
+  const Term *F = C.gt(C.select(A, I), C.getZero());
+  SmtResult R = S.checkSat(F);
+  ASSERT_EQ(R.Answer, SatAnswer::Sat);
+  ASSERT_TRUE(R.ModelComplete);
+  EXPECT_TRUE(evaluateBool(F, R.Model)) << printTerm(F);
+}
+
+// A nested read: a's element sits at b's rebuilt value, not at a default.
+TEST_F(MiniSmtTest, ArrayModelRebuildsNestedSelects) {
+  const Term *A = C.var("a", Sort::IntArray);
+  const Term *B = C.var("b", Sort::IntArray);
+  const Term *I = C.var("i", Sort::Int);
+  const Term *F = C.gt(C.select(A, C.select(B, I)), C.getZero());
+  SmtResult R = S.checkSat(F);
+  ASSERT_EQ(R.Answer, SatAnswer::Sat);
+  ASSERT_TRUE(R.ModelComplete);
+  EXPECT_TRUE(evaluateBool(F, R.Model)) << printTerm(F);
+  // b[i] forced away from 0 must move a's element with it.
+  const Term *G = C.and_(F, C.gt(C.select(B, I), C.intConst(5)));
+  R = S.checkSat(G);
+  ASSERT_EQ(R.Answer, SatAnswer::Sat);
+  ASSERT_TRUE(R.ModelComplete);
+  EXPECT_TRUE(evaluateBool(G, R.Model)) << printTerm(G);
+}
+
 TEST_F(MiniSmtTest, StorePushedThroughSelect) {
   const Term *A = C.var("a", Sort::BoolArray);
   const Term *I = C.var("i", Sort::Int);
