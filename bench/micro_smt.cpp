@@ -158,12 +158,11 @@ BENCHMARK(BM_WpReadersWriters);
 // the incremental placement engine's workload. One prefix (a conjunction of
 // range and chain constraints over ten integers) is shared by twenty VC
 // deltas, half unsat and half sat relative to it — the shape of one CCR's
-// (predicate-class × check) family. Three discharge modes per backend:
+// (predicate-class × check) family. Two discharge modes per backend:
 //   one-shot:  checkSat per VC (fresh Z3 context per query — the paper
 //              baseline and the --incremental=off configuration),
-//   push/pop:  prefix asserted once in a session, each VC a scoped delta,
-//   batched:   prefix asserted once, all VCs decided via checkSatBatch
-//              (assumption literals + unsat cores on Z3).
+//   push/pop:  prefix asserted once in a session, each VC a scoped delta
+//              (the --incremental=on configuration).
 // The win must be measured, not asserted: these rows are where it shows.
 //===----------------------------------------------------------------------===//
 
@@ -193,7 +192,7 @@ struct SessionVcFamily {
   }
 };
 
-enum class DischargeMode { OneShot, PushPop, Batched };
+enum class DischargeMode { OneShot, PushPop };
 
 void runSessionFamily(benchmark::State &State, solver::SolverKind Kind,
                       DischargeMode Mode) {
@@ -216,12 +215,6 @@ void runSessionFamily(benchmark::State &State, solver::SolverKind Kind,
         benchmark::DoNotOptimize(S->checkSatAssuming({D}));
       S->pop();
       break;
-    case DischargeMode::Batched:
-      S->push();
-      S->assertTerm(Family.Prefix);
-      benchmark::DoNotOptimize(S->checkSatBatch(Family.Deltas));
-      S->pop();
-      break;
     }
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
@@ -238,11 +231,6 @@ void BM_SessionZ3PushPop(benchmark::State &State) {
 }
 BENCHMARK(BM_SessionZ3PushPop)->Unit(benchmark::kMillisecond);
 
-void BM_SessionZ3Batched(benchmark::State &State) {
-  runSessionFamily(State, solver::SolverKind::Z3, DischargeMode::Batched);
-}
-BENCHMARK(BM_SessionZ3Batched)->Unit(benchmark::kMillisecond);
-
 void BM_SessionMiniOneShot(benchmark::State &State) {
   runSessionFamily(State, solver::SolverKind::Mini, DischargeMode::OneShot);
 }
@@ -254,11 +242,6 @@ void BM_SessionMiniPushPop(benchmark::State &State) {
   runSessionFamily(State, solver::SolverKind::Mini, DischargeMode::PushPop);
 }
 BENCHMARK(BM_SessionMiniPushPop)->Unit(benchmark::kMillisecond);
-
-void BM_SessionMiniBatched(benchmark::State &State) {
-  runSessionFamily(State, solver::SolverKind::Mini, DischargeMode::Batched);
-}
-BENCHMARK(BM_SessionMiniBatched)->Unit(benchmark::kMillisecond);
 
 void BM_FullPipelineReadersWriters(benchmark::State &State) {
   for (auto _ : State) {

@@ -16,12 +16,12 @@
 // serial Σ.
 //
 // Within a CCR the session asserts the invariant once per worker and the
-// CCR guard once per CCR, batches the CCR's independent no-signal checks
-// into one call, and discharges (b)/(c) as deltas. The --incremental mode
-// only selects how the session talks to its backend (native push/pop
-// deltas, or one absolute checkSat per VC — the paper-style baseline); the
-// logical query sequence is the same, so Σ, stats, and all cache counters
-// match across modes byte for byte.
+// CCR guard once per CCR, and discharges every check — the no-signal checks
+// of all classes first, then (b)/(c) per failing class — as one delta
+// each. The --incremental mode only selects how the session talks to its
+// backend (native push/pop deltas, or one absolute checkSat per VC — the
+// paper-style baseline); the logical query sequence is the same, so Σ,
+// stats, and all cache counters match across modes byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
@@ -272,7 +272,7 @@ void completePair(PairEnv &Env, const CcrInfo &W,
 }
 
 /// Runs every predicate class of one CCR through a session: guard scope
-/// entered once, the classes' no-signal VCs batched into one check, then
+/// entered once, the classes' no-signal VCs discharged in class order, then
 /// (b)/(c) per failing class. Writes the CCR's NumClasses outcome slots.
 void checkCcr(PairEnv &Env, const CcrInfo &W,
                          HoareChecker &Checker, solver::SolverSession &S,
@@ -283,10 +283,8 @@ void checkCcr(PairEnv &Env, const CcrInfo &W,
   S.setInvariant(I);
   S.enterCcr(W.Guard);
 
-  // (a) No-signal checks, all classes of this CCR, batched. Batching
-  // changes the solver call shape but never the query multiset.
-  std::vector<const Term *> Batch;
-  std::vector<size_t> BatchIdx;
+  // (a) No-signal checks, all classes of this CCR, before any (b)/(c)
+  // check: they all ride the guard scope, which a one-wake check drops.
   std::vector<signed char> AProved(NumClasses, 0);
   for (size_t Qi = 0; Qi < NumClasses; ++Qi) {
     const PredicateClass *Q = Env.Sema.Classes[Qi].get();
@@ -297,23 +295,8 @@ void checkCcr(PairEnv &Env, const CcrInfo &W,
     NoSig.InMethod = W.Parent;
     NoSig.Post = C.not_(P);
     ++Slots[Qi].HoareChecks;
-    const Term *VC = Checker.verificationCondition(NoSig);
-    if (VC->isTrue()) {
-      AProved[Qi] = 1;
-    } else if (!VC->isFalse()) {
-      Batch.push_back(C.not_(VC));
-      BatchIdx.push_back(Qi);
-    }
+    AProved[Qi] = provesScoped(C, Checker, S, VcScope::CcrGuard, NoSig);
   }
-  std::vector<solver::CheckResult> BatchRs;
-  {
-    obs::Span BatchSpan(Env.Options.Trace, "vc.batch");
-    BatchSpan.arg("n", static_cast<uint64_t>(Batch.size()));
-    BatchRs = S.checkSatBatchUnderGuard(Batch);
-  }
-  for (size_t K = 0; K < BatchIdx.size(); ++K)
-    if (BatchRs[K].TheAnswer == solver::Answer::Unsat)
-      AProved[BatchIdx[K]] = 1;
 
   for (size_t Qi = 0; Qi < NumClasses; ++Qi) {
     if (AProved[Qi]) {
@@ -448,10 +431,7 @@ PlacementResult core::placeSignals(logic::TermContext &C,
   }
   std::vector<WorkerStats> PerWorker(Workers.size());
   Result.Stats.JobsUsed = Jobs;
-  Result.Stats.IncrementalSessions =
-      Options.Incremental &&
-      (Workers[0].Backend ? *Workers[0].Backend : Underlying)
-          .supportsIncremental();
+  Result.Stats.IncrementalSessions = Workers[0].Session->native();
 
   // The loop-boundary cancellation poll skips the remaining CCRs; mid-check
   // expiry resolves through the backends' own polls (every remaining query

@@ -68,12 +68,11 @@ struct PlacementOptions {
   bool CacheQueries = true;      ///< memoize checkSat via solver::CachingSolver
   /// The discharge mode of every solver::SolverSession the run opens. On,
   /// a natively incremental backend (Z3) asserts the invariant/guard prefix
-  /// once and takes per-predicate-class VCs as deltas, batching the
-  /// independent no-signal checks of one CCR into a single
-  /// assumption-guarded solver call. Off, every VC is one absolute checkSat
-  /// (for Z3, a fresh context per query): the ablation baseline. Σ,
-  /// PlacementStats, and every cache counter are byte-identical with this on
-  /// or off (the differential contract of tests/IncrementalSolverTest.cpp).
+  /// once and takes each per-predicate-class VC as one delta check against
+  /// it. Off, every VC is one absolute checkSat (for Z3, a fresh context per
+  /// query): the ablation baseline. Σ, PlacementStats, and every cache
+  /// counter are byte-identical with this on or off (the differential
+  /// contract of tests/IncrementalSolverTest.cpp).
   bool Incremental = true;
   /// Worker threads for the fan-out; 1 = serial. The unit of work is one
   /// CCR (all its predicate classes), so Jobs is capped at the CCR count.
@@ -95,13 +94,12 @@ struct PlacementOptions {
   support::CancelToken *Cancel = nullptr;
   /// Span tracer (obs::Tracer): when attached, the run records nested,
   /// thread-attributed phase spans — invariant inference (forwarded into
-  /// InvariantConfig::Trace), per-CCR sessions, VC batches, and
-  /// individual solver queries with their cache-tier outcome
-  /// (attached to the CachingSolver for the duration of the run). Tracing
-  /// is byte-invisible: Σ, every stat, and every cache counter are
-  /// identical with it on or off (differential-pinned in
-  /// tests/ObsTest.cpp). Not owned; null (the default) disables at the
-  /// cost of one branch per span site.
+  /// InvariantConfig::Trace), per-CCR sessions, and individual solver
+  /// queries with their cache-tier outcome (attached to the CachingSolver
+  /// for the duration of the run). Tracing is byte-invisible: Σ, every
+  /// stat, and every cache counter are identical with it on or off
+  /// (differential-pinned in tests/ObsTest.cpp). Not owned; null (the
+  /// default) disables at the cost of one branch per span site.
   obs::Tracer *Trace = nullptr;
 };
 
@@ -125,10 +123,11 @@ struct PlacementStats {
   solver::CacheStats Cache;      ///< query-cache accounting (zero when off)
   double InvariantSeconds = 0;
   double PlacementSeconds = 0;
-  /// True when Options.Incremental is on and the discharging backend
-  /// supports the session API (SmtSolver::supportsIncremental). Not part
-  /// of summary(): the output contract is that summaries are byte-identical
-  /// across modes.
+  /// True when the run's sessions assert prefixes on their backend:
+  /// Options.Incremental is on and the backend is natively incremental
+  /// (SmtSolver::nativeIncremental; MiniSmt's snapshot sessions are not).
+  /// Not part of summary(): the output contract is that summaries are
+  /// byte-identical across modes.
   bool IncrementalSessions = false;
   unsigned JobsUsed = 1;             ///< worker threads the fan-out ran with
   std::vector<WorkerStats> Workers;  ///< per-worker accounting (empty when serial)

@@ -30,7 +30,7 @@
 /// Worker threads do not share the primary backend (backends are not
 /// thread-safe): each opens a solver::SolverSession that pairs this memo
 /// table with a private backend (minted by mintWorkerBackends) for the
-/// misses it owns, going through lookupOrCompute/lookupOrComputeBatch.
+/// misses it owns, going through lookupOrCompute.
 ///
 /// Two-tier operation: when a persist::QueryStore is attached
 /// (attachStore), the sharded memo stays in front and the disk store sits
@@ -124,12 +124,6 @@ public:
   /// checkSat(F).
   using ComputeFn = std::function<CheckResult(const logic::Term *)>;
 
-  /// Computes answers for a *batch* of distinct formulas in one go (e.g.
-  /// one checkSatBatch solver call). Must return exactly one result per
-  /// input formula, positionally.
-  using BatchComputeFn = std::function<std::vector<CheckResult>(
-      const std::vector<const logic::Term *> &)>;
-
   /// The single-flight lookup with a caller-supplied compute for the miss
   /// path. Identical counter semantics to checkSat(): one Queries tick, a
   /// memo Hit or Miss, and — for the owning miss, when a store is attached
@@ -137,17 +131,6 @@ public:
   /// sessions keep the cache on their path: the cache key is always the
   /// equivalent one-shot formula, whatever \p Compute does internally.
   CheckResult lookupOrCompute(const logic::Term *F, const ComputeFn &Compute);
-
-  /// Batched single-flight lookup: processes \p Fs strictly in order —
-  /// memo probe (hit counts exactly as if asked one-by-one, including
-  /// duplicates within the batch), then a persistent-store probe per owned
-  /// miss, then ONE \p Compute call over the still-unanswered rest, then
-  /// publication. Counter totals are therefore identical to issuing the
-  /// same formulas individually, which is the cold/warm and
-  /// incremental-vs-one-shot parity contract. Returns one result per input.
-  std::vector<CheckResult>
-  lookupOrComputeBatch(const std::vector<const logic::Term *> &Fs,
-                       const BatchComputeFn &Compute);
 
   std::string name() const override { return "cache(" + Backend->name() + ")"; }
 
@@ -171,11 +154,10 @@ public:
   persist::QueryStore *store() const { return Store.get(); }
 
   /// Attaches (or detaches, with null) a span tracer: every lookup then
-  /// records one "solver.query" span (batches record one "solver.batch")
-  /// carrying its cache-tier outcome — "memo" (answered by the in-memory
-  /// table, in-flight waits included), "disk" (persistent store), or
-  /// "solve" (computed on a backend, with the backend's name) — plus the
-  /// answer. Tracing reads counters and clocks only: it never touches the
+  /// records one "solver.query" span carrying its cache-tier outcome —
+  /// "memo" (answered by the in-memory table, in-flight waits included),
+  /// "disk" (persistent store), or "solve" (computed on a backend, with the
+  /// backend's name) — plus the answer. Tracing reads counters and clocks only: it never touches the
   /// memo, the store, or any stat, so traced and untraced runs are
   /// byte-identical (the obs determinism contract). Not owned; callers
   /// must detach before the tracer dies (placeSignals does, via a scope
@@ -201,11 +183,10 @@ public:
 
 private:
   /// Probes the persistent tier for the owning miss of \p F (counting disk
-  /// hit/miss) and computes + writes through on a store miss. Shared by the
-  /// single and batched owner paths. \p Q (may be null) is the caller's
-  /// query span; the tier outcome is recorded onto it.
+  /// hit/miss) and computes + writes through on a store miss. The tier
+  /// outcome is recorded onto the caller's query span \p Q.
   CheckResult computeOwned(const logic::Term *F, const ComputeFn &Compute,
-                           obs::Span *Q = nullptr);
+                           obs::Span &Q);
 
   static constexpr size_t NumShards = 16;
   struct Shard {

@@ -92,8 +92,7 @@ public:
   // supportsIncremental() can never extract a wrong answer — only a useless
   // one. Backends opt in:
   //   * Z3Backend keeps one long-lived z3::solver per instance and maps the
-  //     API onto native push/pop/check-with-assumptions (and discharges
-  //     checkSatBatch with assumption literals + unsat cores);
+  //     API onto native push/pop/check-with-assumptions;
   //   * the MiniSmt backend implements assertion-stack *snapshots*: the
   //     stack is recorded term-by-term and every check re-solves the
   //     accumulated conjunction one-shot (correctness, not speed);
@@ -134,13 +133,11 @@ public:
   }
 
   /// Decides, for each \p Fs[i] *independently*, sat(asserted-stack ∧
-  /// Fs[i]), returning one CheckResult per formula. Semantically equivalent
-  /// to |Fs| checkSatAssuming({F}) calls — and the default implementation is
-  /// exactly that loop — but a native backend (Z3) discharges the whole
-  /// family against its current solver state with per-formula assumption
-  /// literals, extracting answers from one model / unsat cores instead of
-  /// re-asserting anything. Queries counts one per formula in every
-  /// implementation, so query accounting is batching-invariant.
+  /// Fs[i]), returning one CheckResult per formula: exactly |Fs|
+  /// checkSatAssuming({F}) calls. Nothing in src/ calls it — placement and
+  /// inference discharge every VC through one checkSatAssuming — and no
+  /// backend here overrides it; it stays for decorators outside src/ that
+  /// forward the whole session API.
   virtual std::vector<CheckResult>
   checkSatBatch(const std::vector<const logic::Term *> &Fs) {
     std::vector<CheckResult> Out;

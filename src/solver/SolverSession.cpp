@@ -133,30 +133,3 @@ CheckResult SolverSession::checkSatUnderInvariant(const Term *F) {
         F, [this](const Term *G) { return computeScoped(G); });
   return computeScoped(F);
 }
-
-std::vector<CheckResult> SolverSession::checkSatBatchUnderGuard(
-    const std::vector<const Term *> &Fs) {
-  Lookups += Fs.size();
-  if (Fs.empty())
-    return {};
-  ensureGuardPushed();
-  auto ComputeBatch = [this](const std::vector<const Term *> &Residual) {
-    std::vector<CheckResult> Rs;
-    if (Native) {
-      Rs = Backend.checkSatBatch(Residual);
-      // Per-formula one-shot fallback for incremental Unknowns (see
-      // computeScoped).
-      for (size_t I = 0; I < Rs.size(); ++I)
-        if (Rs[I].TheAnswer == Answer::Unknown)
-          Rs[I] = Backend.checkSat(Residual[I]);
-    } else {
-      Rs.reserve(Residual.size());
-      for (const Term *F : Residual)
-        Rs.push_back(Backend.checkSat(F));
-    }
-    return Rs;
-  };
-  if (Cache)
-    return Cache->lookupOrComputeBatch(Fs, ComputeBatch);
-  return ComputeBatch(Fs);
-}

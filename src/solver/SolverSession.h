@@ -33,15 +33,19 @@
 ///
 ///   * native (--incremental=on over a natively incremental backend, i.e.
 ///     Z3): prefixes are pushed and asserted on the backend, and every check
-///     is a checkSatAssuming/checkSatBatch delta against them. Queries whose
-///     answers the backend fails to produce incrementally (session breakage,
-///     Unknown from an incremental check) are re-discharged with a plain
-///     checkSat, so a session never answers weaker than one-shot mode;
+///     is one checkSatAssuming delta against them. Queries whose answers the
+///     backend fails to produce incrementally (session breakage, Unknown
+///     from an incremental check) are re-discharged with a plain checkSat,
+///     so a session never answers weaker than one-shot mode;
 ///   * one-shot (--incremental=off, or a backend that is not natively
 ///     incremental, e.g. MiniSmt snapshots): the session never calls push,
-///     assertTerm, checkSatAssuming or checkSatBatch — each VC is exactly
-///     one absolute Backend.checkSat. For Z3 that is a fresh z3::context per
-///     query, outside the context pool: the paper-style ablation baseline.
+///     assertTerm or checkSatAssuming — each VC is exactly one absolute
+///     Backend.checkSat. For Z3 that is a fresh z3::context per query,
+///     outside the context pool: the paper-style ablation baseline.
+///
+/// Either way each VC is one cache lookup (checkSatUnderGuard,
+/// checkSatUnderInvariant or the absolute view) and, on a miss, one
+/// backend discharge. native() says which mode the session runs in.
 ///
 /// Answers are identical either way; the differential harness in
 /// tests/IncrementalSolverTest.cpp holds the two modes to byte parity.
@@ -93,10 +97,10 @@ public:
   /// scope if it is currently pushed.
   CheckResult checkSatUnderInvariant(const logic::Term *F);
 
-  /// Batched form of checkSatUnderGuard: decides each formula independently
-  /// with one cache-batch + (at best) one backend checkSatBatch call.
-  std::vector<CheckResult>
-  checkSatBatchUnderGuard(const std::vector<const logic::Term *> &Fs);
+  /// True while prefixes are asserted on the backend: --incremental on over
+  /// a natively incremental backend, until a push/assert failure downgrades
+  /// the session to one-shot discharge.
+  bool native() const { return Native; }
 
   /// An SmtSolver view of the *absolute* path — plain cached one-shot
   /// checkSat, blind to every session scope. Hand this to code whose

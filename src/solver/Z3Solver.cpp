@@ -17,16 +17,12 @@
 ///
 /// Two discharge paths coexist per backend instance:
 ///
-///   * The session API (push/pop/assertTerm/checkSatAssuming/checkSatBatch)
-///     runs against one lazily-created long-lived z3::solver in a pooled
-///     z3::context (below), with a persistent Term→expr translation memo,
-///     so shared prefixes are asserted and internalized once and each delta
-///     rides Z3's incremental state. checkSatBatch guards every formula
-///     with a fresh assumption literal and decides the family with
-///     check(assumptions) calls, reading answers out of one model (sat
-///     decides every formula at once) or unsat cores (a singleton core
-///     decides its formula; larger cores fall back to per-literal checks
-///     that still re-assert nothing).
+///   * The session API (push/pop/assertTerm/checkSatAssuming) runs against
+///     one lazily-created long-lived z3::solver in a pooled z3::context
+///     (below), with a persistent Term→expr translation memo, so shared
+///     prefixes are asserted and internalized once and each delta rides
+///     Z3's incremental state: one checkSatAssuming per VC, inside a
+///     temporary scope.
 ///   * checkSat() is *absolute*. While a session is live it runs on a
 ///     second solver in the session's context, sharing the translation
 ///     memo, and pushes, checks and pops over a stack that is always empty.
@@ -232,127 +228,6 @@ public:
     return scopedCheck(*S, /*Absolute=*/false, Assumptions);
   }
 
-  std::vector<CheckResult>
-  checkSatBatch(const std::vector<const Term *> &Fs) override {
-    Queries.fetch_add(Fs.size(), std::memory_order_relaxed);
-    std::vector<CheckResult> Answers(Fs.size());
-    if (Fs.empty())
-      return Answers;
-    if (cancelled()) {
-      keepFromPool();
-      return Answers;
-    }
-    Session *S = session();
-    if (!S)
-      return Answers; // all Unknown — fail closed
-    try {
-      S->Solver.push();
-    } catch (const z3::exception &) {
-      killSession();
-      return Answers;
-    }
-    try {
-      applyDeadline(S->Solver);
-      support::ScopedInterrupt Guard(Cancel, [S] { S->interrupt(); });
-      // Guard every formula with a fresh assumption literal p_i and assert
-      // p_i => F_i once; all subsequent check(assumptions) calls reuse the
-      // internalized formulas without re-asserting anything.
-      std::vector<z3::expr> Proxies;
-      std::unordered_map<std::string, size_t> ProxyIndex;
-      Proxies.reserve(Fs.size());
-      for (size_t I = 0; I < Fs.size(); ++I) {
-        std::string Name =
-            "xpr!assume!" + std::to_string(S->ProxyBatch) + "!" +
-            std::to_string(I);
-        z3::expr P = S->Ctx.bool_const(Name.c_str());
-        S->Solver.add(z3::implies(P, translate(S->Ctx, Fs[I], S->Memo)));
-        ProxyIndex.emplace(Name, I);
-        Proxies.push_back(P);
-      }
-      ++S->ProxyBatch;
-
-      // Decide the family: check all remaining assumptions together. A sat
-      // answer's model satisfies every assumed formula, so it decides all
-      // of them at once; unsat yields a core whose singleton case decides
-      // one formula, and larger (or unknown) cases degrade to per-literal
-      // checks that still ride the session state.
-      std::vector<size_t> Remaining(Fs.size());
-      for (size_t I = 0; I < Fs.size(); ++I)
-        Remaining[I] = I;
-      auto checkOne = [&](size_t I) {
-        CheckResult R;
-        z3::expr_vector One(S->Ctx);
-        One.push_back(Proxies[I]);
-        switch (S->Solver.check(One)) {
-        case z3::unsat:
-          R.TheAnswer = Answer::Unsat;
-          break;
-        case z3::unknown:
-          S->Lease.retire();
-          break;
-        case z3::sat:
-          extractModel(R, S->Ctx, S->Solver.get_model(), {Fs[I]}, S->Memo);
-          break;
-        }
-        return R;
-      };
-      while (!Remaining.empty()) {
-        z3::expr_vector As(S->Ctx);
-        for (size_t I : Remaining)
-          As.push_back(Proxies[I]);
-        z3::check_result CR = S->Solver.check(As);
-        if (CR == z3::sat) {
-          z3::model Model = S->Solver.get_model();
-          for (size_t I : Remaining)
-            extractModel(Answers[I], S->Ctx, Model, {Fs[I]}, S->Memo);
-          break;
-        }
-        if (CR == z3::unknown) {
-          S->Lease.retire();
-          for (size_t I : Remaining)
-            Answers[I] = checkOne(I);
-          break;
-        }
-        // unsat: read the core of assumption literals.
-        std::vector<size_t> CoreIdx;
-        z3::expr_vector Core = S->Solver.unsat_core();
-        for (unsigned K = 0; K < Core.size(); ++K) {
-          auto It = ProxyIndex.find(Core[K].decl().name().str());
-          if (It != ProxyIndex.end())
-            CoreIdx.push_back(It->second);
-        }
-        if (CoreIdx.empty()) {
-          // The asserted stack alone is unsat: every formula is unsat
-          // relative to it.
-          for (size_t I : Remaining)
-            Answers[I].TheAnswer = Answer::Unsat;
-          break;
-        }
-        if (CoreIdx.size() == 1)
-          Answers[CoreIdx.front()].TheAnswer = Answer::Unsat;
-        else
-          for (size_t I : CoreIdx)
-            Answers[I] = checkOne(I);
-        std::vector<size_t> Next;
-        for (size_t I : Remaining) {
-          bool InCore = false;
-          for (size_t CI : CoreIdx)
-            InCore |= CI == I;
-          if (!InCore)
-            Next.push_back(I);
-        }
-        Remaining = std::move(Next);
-      }
-      S->Solver.pop();
-    } catch (const z3::exception &) {
-      killSession();
-      return std::vector<CheckResult>(Fs.size()); // all Unknown
-    }
-    if (cancelled())
-      killSession(); // fail-closed retirement, as in checkSatAssuming
-    return Answers;
-  }
-
 private:
   /// Long-lived per-instance session state, created on first use. Terms are
   /// interned and never freed, so the translation memo stays valid for the
@@ -365,8 +240,7 @@ private:
     /// Its stack is empty between checks, so every check is absolute.
     std::optional<z3::solver> Absolute;
     std::unordered_map<const Term *, z3::expr> Memo;
-    unsigned Depth = 0;      ///< open push() scopes
-    uint64_t ProxyBatch = 0; ///< uniquifies batch assumption literals
+    unsigned Depth = 0; ///< open push() scopes
     Session() : Ctx(Lease.get()), Solver(Ctx, z3::solver::simple()) {}
     /// The interrupt hook: an interrupted context never goes back.
     void interrupt() {

@@ -56,16 +56,15 @@ void printUsage() {
       "  --solver=default|z3|mini|crosscheck\n"
       "  --benchmark=NAME             use a built-in evaluation monitor\n"
       "  --list-benchmarks            list built-in monitors and exit\n"
-      "  --invariant=EXPR-FILE        skip inference, read invariant source\n"
       "  --no-invariant               place signals with I = true\n"
       "  --no-commutativity           disable the §4.3 weakening\n"
       "  --no-lazy-broadcast          emit eager signalAll broadcasts\n"
       "  --no-cache                   disable solver query memoization\n"
-      "  --incremental=on|off         discharge VCs through incremental\n"
-      "                               solver sessions (push/pop prefixes,\n"
-      "                               batched no-signal checks; default on)\n"
-      "                               vs one solver context per query; the\n"
-      "                               output is byte-identical either way\n"
+      "  --incremental=on|off         discharge each VC as a delta against\n"
+      "                               pushed invariant/guard prefixes in an\n"
+      "                               incremental solver session (default\n"
+      "                               on) vs one solver context per query;\n"
+      "                               the output is byte-identical either way\n"
       "  --cache-dir=DIR              persist solver answers in DIR and\n"
       "                               reuse answers cached by earlier runs\n"
       "                               (shared safely across processes)\n"
@@ -934,8 +933,8 @@ int main(int Argc, char **Argv) {
     std::printf("  incremental sessions: %s\n",
                 Result.Stats.IncrementalSessions
                     ? "on"
-                    : (Options.Incremental ? "off (backend has no session "
-                                             "support)"
+                    : (Options.Incremental ? "off (backend is not natively "
+                                             "incremental)"
                                            : "off"));
     std::printf("  placement jobs:       %u\n", Result.Stats.JobsUsed);
     for (size_t W = 0; W < Result.Stats.Workers.size(); ++W) {
