@@ -231,12 +231,9 @@ int bench::figureMain(const std::string &BenchName, int Argc, char **Argv) {
               "is better\n");
   std::printf("# invariant: %s\n",
               logic::printTerm(Ctx.placement().Invariant).c_str());
-  std::printf("# plan: %zu signals, %zu broadcasts, analysis %.2fs\n",
-              runtime::SignalPlan::fromPlacement(Ctx.placement()).numSignals(),
-              runtime::SignalPlan::fromPlacement(Ctx.placement())
-                  .numBroadcasts(),
-              Ctx.analysisSeconds());
   const core::PlacementStats &PS = Ctx.placement().Stats;
+  std::printf("# plan: %zu signals, %zu broadcasts, analysis %.2fs\n",
+              PS.Signals, PS.Broadcasts, Ctx.analysisSeconds());
   // One header shape for every cache configuration: --no-cache reports
   // uniform zeros (suffix-flagged) instead of a different line.
   std::printf("# solver: %zu queries, %llu cache hits / %llu misses "

@@ -20,7 +20,8 @@
 ///
 /// Guards and bodies print through frontend::printStmt/printExpr and logic
 /// terms through codegen/Lowering.h, each given the target's spelling
-/// table; the wake calls come from Lowering.h's WakeLowering.
+/// table; the wake calls come from runtime::WakeLowering over
+/// SignalPlan::fromPlacement, the lowering the explicit engine runs.
 ///
 //===----------------------------------------------------------------------===//
 

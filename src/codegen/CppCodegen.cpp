@@ -9,6 +9,7 @@
 
 #include "codegen/Lowering.h"
 #include "logic/Printer.h"
+#include "runtime/SignalPlan.h"
 
 #include <sstream>
 
@@ -32,7 +33,8 @@ std::string waiterListName(const PredicateClass *Q) {
 class CppEmitter {
 public:
   CppEmitter(const core::PlacementResult &R)
-      : R(R), Sema(*R.Sema), Lowered(R) {}
+      : R(R), Sema(*R.Sema),
+        Lowered(Sema, runtime::SignalPlan::fromPlacement(R)) {}
 
   std::string run() {
     OS << "// " << Sema.M->Name
@@ -77,7 +79,7 @@ private:
   }
 
   void emitWaiterInfrastructure() {
-    for (const PredicateClass *Q : Lowered.Used) {
+    for (const PredicateClass *Q : usedClasses(Sema)) {
       OS << "\n  // predicate class c" << Q->Index << ": "
          << logic::printTerm(Q->Canonical) << "\n";
       if (Q->isGround()) {
@@ -115,15 +117,16 @@ private:
 
   void emitConstructor() {
     OS << "  explicit " << targetName(Sema.M->Name) << "(";
+    const std::vector<const Field *> Params = ctorParams(*Sema.M);
     const char *Sep = "";
-    for (const Field *F : Lowered.CtorParams) {
+    for (const Field *F : Params) {
       OS << Sep << CppSpelling.type(F->Type) << " " << targetName(F->Name)
          << "_arg";
       Sep = ", ";
     }
     OS << ")";
     Sep = " : ";
-    for (const Field *F : Lowered.CtorParams) {
+    for (const Field *F : Params) {
       OS << Sep << targetName(F->Name) << "(" << targetName(F->Name)
          << "_arg)";
       Sep = ", ";
@@ -165,13 +168,13 @@ private:
       }
       // Body, then the wakes Σ places after it.
       OS << printStmt(W.Body, 2, CppSpelling, Sema.M);
-      for (const Wake &Wk : Lowered.wakesAfter(&W))
+      for (const runtime::Wake &Wk : Lowered.wakesAfter(&W))
         emitWake(Wk);
     }
     OS << "  }\n";
   }
 
-  void emitWake(const Wake &Wk) {
+  void emitWake(const runtime::Wake &Wk) {
     const PredicateClass *Q = Wk.Target;
     if (Wk.Chain)
       OS << "    // lazy broadcast chain\n";
@@ -192,7 +195,7 @@ private:
 
   const core::PlacementResult &R;
   const SemaInfo &Sema;
-  const WakeLowering Lowered;
+  const runtime::WakeLowering Lowered;
   std::ostringstream OS;
 };
 

@@ -19,6 +19,7 @@
 
 #include "codegen/Lowering.h"
 #include "logic/Printer.h"
+#include "runtime/SignalPlan.h"
 
 #include <sstream>
 
@@ -28,7 +29,10 @@ using namespace expresso::frontend;
 
 std::string codegen::emitJava(const core::PlacementResult &R) {
   const SemaInfo &Sema = *R.Sema;
-  const WakeLowering Lowered(R);
+  const runtime::WakeLowering Lowered(Sema,
+                                      runtime::SignalPlan::fromPlacement(R));
+  const std::vector<const PredicateClass *> Used = usedClasses(Sema);
+  const std::vector<const Field *> Params = ctorParams(*Sema.M);
   std::ostringstream OS;
 
   auto condName = [](const PredicateClass *Q) {
@@ -60,7 +64,7 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
     OS << ";\n";
   }
   OS << "\n  private final ReentrantLock lock = new ReentrantLock();\n";
-  for (const PredicateClass *Q : Lowered.Used) {
+  for (const PredicateClass *Q : Used) {
     OS << "  // class c" << Q->Index << ": "
        << logic::printTerm(Q->Canonical) << "\n";
     if (Q->isGround()) {
@@ -82,13 +86,13 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
   // Constructor for const configuration fields.
   OS << "\n  public " << targetName(Sema.M->Name) << "(";
   const char *Sep = "";
-  for (const Field *F : Lowered.CtorParams) {
+  for (const Field *F : Params) {
     OS << Sep << JavaSpelling.type(F->Type) << " " << targetName(F->Name)
        << "Arg";
     Sep = ", ";
   }
   OS << ") {\n";
-  for (const Field *F : Lowered.CtorParams)
+  for (const Field *F : Params)
     OS << "    this." << targetName(F->Name) << " = " << targetName(F->Name)
        << "Arg;\n";
   if (Sema.M->InitBody)
@@ -96,7 +100,7 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
   OS << "  }\n";
 
   // A wake helper per local-variable class.
-  for (const PredicateClass *Q : Lowered.Used) {
+  for (const PredicateClass *Q : Used) {
     if (Q->isGround())
       continue;
     OS << "\n  private void wakeC" << Q->Index
@@ -142,7 +146,7 @@ std::string codegen::emitJava(const core::PlacementResult &R) {
         }
       }
       OS << printStmt(W.Body, 3, JavaSpelling, Sema.M);
-      for (const Wake &Wk : Lowered.wakesAfter(&W)) {
+      for (const runtime::Wake &Wk : Lowered.wakesAfter(&W)) {
         const PredicateClass *Q = Wk.Target;
         if (Wk.Chain)
           OS << "      // lazy broadcast chain\n";

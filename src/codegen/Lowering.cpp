@@ -9,7 +9,6 @@
 
 #include "codegen/Codegen.h"
 
-#include <cassert>
 #include <unordered_set>
 
 using namespace expresso;
@@ -182,51 +181,26 @@ TypeKind codegen::placeholderType(const PredicateClass *Q, size_t I) {
                                                          : TypeKind::Int;
 }
 
-WakeLowering::WakeLowering(const core::PlacementResult &R)
-    : Ccrs(R.Sema->Ccrs) {
-  const SemaInfo &Sema = *R.Sema;
-  bool Lazy = R.Options.LazyBroadcast;
-  // Indexed by PredicateClass::Index, so both sets come out in Index order.
-  std::vector<bool> IsUsed(Sema.Classes.size()), IsChained(IsUsed);
-  for (const CcrInfo &CI : Ccrs)
+std::vector<const PredicateClass *>
+codegen::usedClasses(const SemaInfo &Sema) {
+  // Indexed by PredicateClass::Index, so the classes come out in that order.
+  std::vector<bool> IsUsed(Sema.Classes.size());
+  for (const CcrInfo &CI : Sema.Ccrs)
     if (!CI.Guard->isTrue())
       IsUsed[CI.Class->Index] = true;
-  if (Lazy)
-    for (const core::CcrPlacement &P : R.Placements)
-      for (const core::SignalDecision &D : P.Decisions)
-        if (D.Broadcast)
-          IsChained[D.Target->Index] = true;
+  std::vector<const PredicateClass *> Used;
   for (const auto &Q : Sema.Classes)
     if (IsUsed[Q->Index])
       Used.push_back(Q.get());
-
-  for (const Field &F : Sema.M->Fields)
-    if (F.IsConst && !F.Init)
-      CtorParams.push_back(&F);
-
-  Wakes.resize(Ccrs.size());
-  for (size_t I = 0; I < Ccrs.size(); ++I) {
-    const CcrInfo &CI = Ccrs[I];
-    const core::CcrPlacement &CP = R.placementFor(CI.W);
-    if (IsChained[CI.Class->Index])
-      Wakes[I].push_back({CI.Class, /*Conditional=*/true, /*All=*/false,
-                          /*Chain=*/true});
-    for (const core::SignalDecision &D : CP.Decisions) {
-      // A lazy broadcast wakes one waiter, predicate-checked.
-      bool LazyBroadcast = D.Broadcast && Lazy;
-      Wakes[I].push_back({D.Target, LazyBroadcast || D.Conditional,
-                          D.Broadcast && !Lazy, /*Chain=*/false});
-    }
-  }
+  return Used;
 }
 
-const std::vector<Wake> &
-WakeLowering::wakesAfter(const frontend::WaitUntil *W) const {
-  for (size_t I = 0; I < Ccrs.size(); ++I)
-    if (Ccrs[I].W == W)
-      return Wakes[I];
-  assert(false && "waituntil not part of this monitor");
-  return Wakes.front();
+std::vector<const Field *> codegen::ctorParams(const Monitor &M) {
+  std::vector<const Field *> Params;
+  for (const Field &F : M.Fields)
+    if (F.IsConst && !F.Init)
+      Params.push_back(&F);
+  return Params;
 }
 
 std::optional<EmitKind> codegen::parseEmitKind(std::string_view Name) {

@@ -8,8 +8,10 @@
 /// \file
 /// The part of code generation the C++ and Java backends share: the two
 /// targets' spelling tables, one renderer from logic terms to target
-/// expressions, and one lowering of Σ to the explicit wake operations of §6.
-/// The backends only lay the result out in their own monitor skeletons.
+/// expressions, and the classes and constructor parameters a monitor
+/// skeleton declares. The wakes after each CCR come from
+/// runtime::WakeLowering, the step the explicit engine runs too; the
+/// backends only lay them out in their own monitor skeletons.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,34 +54,13 @@ std::string localName(const logic::Term *QualifiedVar);
 frontend::TypeKind placeholderType(const frontend::PredicateClass *Q,
                                    size_t I);
 
-/// One wake operation after a CCR's body.
-struct Wake {
-  const frontend::PredicateClass *Target = nullptr;
-  bool Conditional = true; ///< test the class predicate before waking
-  bool All = false;        ///< wake every waiter (eager broadcast)
-  bool Chain = false;      ///< lazy-broadcast chain on the CCR's own class
-};
+/// Classes some CCR waits on, in Index order: the classes that get a
+/// condition variable or a waiter queue.
+std::vector<const frontend::PredicateClass *>
+usedClasses(const frontend::SemaInfo &Sema);
 
-/// Σ lowered to explicit wakes (§6). Under lazy broadcast, a broadcast to
-/// class Q becomes one predicate-checked wake, and every CCR waiting on Q
-/// passes the wake on after its body (the chain).
-class WakeLowering {
-public:
-  explicit WakeLowering(const core::PlacementResult &R);
-
-  /// The wakes after \p W's body, in emission order, chain wake first.
-  const std::vector<Wake> &wakesAfter(const frontend::WaitUntil *W) const;
-
-  /// Classes some CCR waits on, in Index order.
-  std::vector<const frontend::PredicateClass *> Used;
-  /// `const` fields without an initializer: the constructor's parameters.
-  std::vector<const frontend::Field *> CtorParams;
-
-private:
-  /// Aligned with SemaInfo::Ccrs.
-  const std::vector<frontend::CcrInfo> &Ccrs;
-  std::vector<std::vector<Wake>> Wakes;
-};
+/// `const` fields without an initializer: the constructor's parameters.
+std::vector<const frontend::Field *> ctorParams(const frontend::Monitor &M);
 
 } // namespace codegen
 } // namespace expresso

@@ -39,10 +39,8 @@ struct CompiledCcr {
   unsigned Class = 0; ///< PredicateClass::Index of the guard
   Program Guard;
   Program Body;
-  /// ExplicitEngine only: whether the guard's class gets the lazy-broadcast
-  /// chain wake, and the plan's wakes after the body.
-  bool Chain = false;
-  std::vector<PlanEntry> Wakes;
+  /// ExplicitEngine only: the plan's lowered wakes after the body.
+  std::vector<Wake> Wakes;
 };
 
 /// One method: its CCRs and where the caller's arguments go.
@@ -194,22 +192,11 @@ class ExplicitEngine final : public EngineBase {
 public:
   ExplicitEngine(const SemaInfo &Sema, const SignalPlan &Plan,
                  const Assignment &Overrides)
-      : EngineBase(Sema, Overrides), LazyBroadcast(Plan.LazyBroadcast),
-        ClassWaiters(Sema.Classes.size()) {
-    // Classes that receive a lazy broadcast need chain re-signaling after
-    // every waituntil guarded by them (§6).
-    std::vector<bool> ChainClasses(Sema.Classes.size());
-    if (LazyBroadcast)
-      for (const auto &[W, Es] : Plan.Entries)
-        for (const PlanEntry &E : Es)
-          if (E.Broadcast)
-            ChainClasses[E.Target->Index] = true;
+      : EngineBase(Sema, Overrides), ClassWaiters(Sema.Classes.size()) {
+    const WakeLowering Lowered(Sema, Plan);
     for (CompiledMethod &CM : Methods)
-      for (CompiledCcr &C : CM.Ccrs) {
-        C.Chain = ChainClasses[C.Class];
-        if (const auto *Es = Plan.entriesFor(C.W))
-          C.Wakes = *Es;
-      }
+      for (CompiledCcr &C : CM.Ccrs)
+        C.Wakes = Lowered.wakesAfter(C.W);
   }
 
   std::string name() const override { return "expresso-explicit"; }
@@ -220,36 +207,14 @@ private:
   }
 
   void afterBody(const CompiledCcr &C) override {
-    // Lazy-broadcast chain (§6): `if (p) signal(p)` after every waituntil
-    // whose guard class receives a lazy broadcast — the first woken thread
-    // passes the wave on instead of one broadcaster waking everyone.
-    if (C.Chain)
-      wakeOne(C.Class, /*CheckPredicate=*/true);
-    for (const PlanEntry &E : C.Wakes) {
-      unsigned Target = E.Target->Index;
-      if (E.Broadcast) {
-        if (LazyBroadcast)
-          wakeOne(Target, /*CheckPredicate=*/true);
-        else
-          wakeAll(Target, E.Conditional);
-      } else {
-        wakeOne(Target, E.Conditional);
-      }
-    }
+    for (const Wake &Wk : C.Wakes)
+      wake(Wk.Target->Index, Wk.Conditional, Wk.All);
   }
 
-  void wakeOne(unsigned Class, bool CheckPredicate) {
-    auto &Listing = ClassWaiters[Class];
-    for (auto WIt = Listing.begin(); WIt != Listing.end(); ++WIt) {
-      if (CheckPredicate && !waiterHolds(*WIt))
-        continue;
-      notify(*WIt);
-      Listing.erase(WIt);
-      return;
-    }
-  }
-
-  void wakeAll(unsigned Class, bool CheckPredicate) {
+  /// Wakes the first parked waiter of \p Class whose predicate holds (or
+  /// the first at all, without \p CheckPredicate); every such waiter when
+  /// \p All. The same loop as the emitted `wake_cN_(checkPredicate, all)`.
+  void wake(unsigned Class, bool CheckPredicate, bool All) {
     auto &Listing = ClassWaiters[Class];
     for (auto WIt = Listing.begin(); WIt != Listing.end();) {
       if (CheckPredicate && !waiterHolds(*WIt)) {
@@ -258,14 +223,15 @@ private:
       }
       notify(*WIt);
       WIt = Listing.erase(WIt);
+      if (!All)
+        return;
     }
   }
 
   void forwardFailedWake(const CompiledCcr &C) override {
-    wakeOne(C.Class, /*CheckPredicate=*/true);
+    wake(C.Class, /*CheckPredicate=*/true, /*All=*/false);
   }
 
-  bool LazyBroadcast;
   /// Parked waiters per predicate class, indexed by PredicateClass::Index.
   std::vector<std::list<Waiter *>> ClassWaiters;
 };

@@ -13,8 +13,10 @@
 /// per-waiter condition slots — and differ ONLY in when and whom they wake:
 ///
 ///   * ExplicitEngine   executes a SignalPlan (Expresso output or a
-///                      hand-written gold plan): the Figures 8/9 "Expresso"
-///                      and "Explicit" series;
+///                      hand-written gold plan) as the wakes
+///                      runtime::WakeLowering gives, the ones the emitters
+///                      print: the Figures 8/9 "Expresso" and "Explicit"
+///                      series;
 ///   * AutoSynchEngine  re-evaluates every waiting thread's predicate at
 ///                      each monitor exit and wakes the first satisfied one
 ///                      (Hung & Garg's run-time approach, the paper's

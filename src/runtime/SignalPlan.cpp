@@ -12,22 +12,6 @@
 using namespace expresso;
 using namespace expresso::runtime;
 
-size_t SignalPlan::numBroadcasts() const {
-  size_t N = 0;
-  for (const auto &[W, Es] : Entries)
-    for (const PlanEntry &E : Es)
-      N += E.Broadcast ? 1 : 0;
-  return N;
-}
-
-size_t SignalPlan::numSignals() const {
-  size_t N = 0;
-  for (const auto &[W, Es] : Entries)
-    for (const PlanEntry &E : Es)
-      N += E.Broadcast ? 0 : 1;
-  return N;
-}
-
 SignalPlan SignalPlan::fromPlacement(const core::PlacementResult &R) {
   SignalPlan Plan;
   Plan.LazyBroadcast = R.Options.LazyBroadcast;
@@ -40,6 +24,32 @@ SignalPlan SignalPlan::fromPlacement(const core::PlacementResult &R) {
       Plan.Entries.emplace(P.W, std::move(Es));
   }
   return Plan;
+}
+
+WakeLowering::WakeLowering(const frontend::SemaInfo &Sema,
+                           const SignalPlan &Plan) {
+  bool Lazy = Plan.LazyBroadcast;
+  // Classes that receive a lazy broadcast, indexed by PredicateClass::Index.
+  std::vector<bool> IsChained(Sema.Classes.size());
+  if (Lazy)
+    for (const auto &[W, Es] : Plan.Entries)
+      for (const PlanEntry &E : Es)
+        if (E.Broadcast)
+          IsChained[E.Target->Index] = true;
+
+  for (const frontend::CcrInfo &CI : Sema.Ccrs) {
+    std::vector<Wake> &Ws = Wakes[CI.W];
+    if (IsChained[CI.Class->Index])
+      Ws.push_back({CI.Class, /*Conditional=*/true, /*All=*/false,
+                    /*Chain=*/true});
+    if (const auto *Es = Plan.entriesFor(CI.W))
+      for (const PlanEntry &E : *Es) {
+        // A lazy broadcast wakes one waiter, predicate-checked.
+        bool LazyBroadcast = E.Broadcast && Lazy;
+        Ws.push_back({E.Target, LazyBroadcast || E.Conditional,
+                      E.Broadcast && !Lazy, /*Chain=*/false});
+      }
+  }
 }
 
 SignalPlanBuilder &SignalPlanBuilder::notify(const std::string &Method,

@@ -17,6 +17,9 @@
 /// Keeping both on the same runtime engine makes the benchmark comparison
 /// apples-to-apples: the engines differ only in signaling strategy.
 ///
+/// WakeLowering is the one step from a plan to the wakes of §6: the explicit
+/// engine runs them, and the C++ and Java emitters print them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXPRESSO_RUNTIME_SIGNALPLAN_H
@@ -47,12 +50,33 @@ struct SignalPlan {
     return It == Entries.end() ? nullptr : &It->second;
   }
 
-  /// Total signal/broadcast counts (for reporting).
-  size_t numBroadcasts() const;
-  size_t numSignals() const;
-
   /// Converts Algorithm 1's output into an executable plan.
   static SignalPlan fromPlacement(const core::PlacementResult &R);
+};
+
+/// One wake operation after a CCR's body.
+struct Wake {
+  const frontend::PredicateClass *Target = nullptr;
+  bool Conditional = true; ///< test the class predicate before waking
+  bool All = false;        ///< wake every waiter (eager broadcast)
+  bool Chain = false;      ///< lazy-broadcast chain on the CCR's own class
+};
+
+/// A plan lowered to explicit wakes (§6). Under lazy broadcast, a broadcast
+/// to class Q becomes one predicate-checked wake, and every CCR waiting on Q
+/// passes the wake on after its body (the chain). Without it, a broadcast
+/// wakes every waiter. Signals pass through unchanged.
+class WakeLowering {
+public:
+  WakeLowering(const frontend::SemaInfo &Sema, const SignalPlan &Plan);
+
+  /// The wakes after \p W's body, in order, chain wake first.
+  const std::vector<Wake> &wakesAfter(const frontend::WaitUntil *W) const {
+    return Wakes.at(W);
+  }
+
+private:
+  std::map<const frontend::WaitUntil *, std::vector<Wake>> Wakes;
 };
 
 /// Convenience builder for hand-written gold plans: addresses CCRs by

@@ -73,10 +73,11 @@ std::set<EventId> explicitNotifications(const SemaInfo &Sema,
   std::vector<runtime::PlanEntry> Work;
   if (Entries)
     Work = *Entries;
-  // Lazy-broadcast chains behave like an extra conditional signal on the
-  // executing CCR's own class; for the abstract semantics we use the eager
-  // reading of broadcasts (the chain is an implementation strategy), so no
-  // extra entries here.
+  // The eager reading of broadcasts, as Figure 6 defines it. The lazy
+  // chain is an implementation strategy: runtime::WakeLowering is the
+  // implementation reading (chain wakes, checked lazy broadcasts) that the
+  // engine and the emitters run, and this oracle deliberately does not use
+  // it, so no extra entries here.
   for (const runtime::PlanEntry &PE : Work) {
     // Events(B, p): blocked events whose guard belongs to the class.
     std::vector<EventId> Members;

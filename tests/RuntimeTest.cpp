@@ -15,6 +15,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 using namespace expresso;
 using namespace expresso::bench;
@@ -223,6 +224,85 @@ TEST(RuntimeTest, ParkedWaiterCountsAreExact) {
     EXPECT_EQ(S.Wakeups, X.Wakeups) << engineKindName(X.Kind);
     EXPECT_EQ(S.SpuriousWakeups, 0u) << engineKindName(X.Kind);
     EXPECT_EQ(S.PredicateEvals, X.PredicateEvals) << engineKindName(X.Kind);
+  }
+}
+
+// Two readers parked behind a writer, then exitWriter's unconditional
+// broadcast to the `!writerIn` class. Lazy: one checked wake frees the
+// first reader, whose chain wake frees the second, so one thread is
+// runnable at each step; each checked wake costs one predicate evaluation.
+// Eager: one unchecked wake-all frees both, and both guards hold. Either
+// way the counts are exact.
+TEST(RuntimeTest, BroadcastCountsAreExact) {
+  struct Expected {
+    bool Lazy;
+    uint64_t PredicateEvals;
+  };
+  for (const Expected &X : {Expected{true, 8}, Expected{false, 6}}) {
+    const BenchmarkDef *Def = findBenchmark("ReadersWriters");
+    ASSERT_NE(Def, nullptr);
+    core::PlacementOptions Opts;
+    Opts.LazyBroadcast = X.Lazy;
+    BenchContext Ctx(*Def, Opts);
+    auto E = Ctx.makeEngine(EngineKind::Expresso, 3);
+    E->call("enterWriter");
+    std::thread R1([&] { E->call("enterReader"); });
+    std::thread R2([&] { E->call("enterReader"); });
+    waitForBlocks(*E, 2);
+    E->call("exitWriter");
+    R1.join();
+    R2.join();
+    EXPECT_EQ(E->snapshot().at("readers").asInt(), 2);
+    EngineStats S = E->stats();
+    EXPECT_EQ(S.Calls, 4u) << X.Lazy;
+    EXPECT_EQ(S.Blocks, 2u) << X.Lazy;
+    EXPECT_EQ(S.Wakeups, 2u) << X.Lazy;
+    EXPECT_EQ(S.SpuriousWakeups, 0u) << X.Lazy;
+    EXPECT_EQ(S.PredicateEvals, X.PredicateEvals) << X.Lazy;
+  }
+}
+
+// The lowering of a hand-written plan: Figure 2's gold plan for
+// ReadersWriters, whose exitWriter broadcasts ✓ to the `!writerIn` class
+// and signals the writer class ?, as exitReader does.
+TEST(WakeLoweringTest, LowersTheReadersWritersGoldPlan) {
+  const BenchmarkDef *Def = findBenchmark("ReadersWriters");
+  ASSERT_NE(Def, nullptr);
+  BenchContext Ctx(*Def, core::PlacementOptions());
+  const frontend::SemaInfo &S = Ctx.sema();
+  auto ccr = [&](const char *Method) {
+    return &S.M->findMethod(Method)->Body[0];
+  };
+  const frontend::PredicateClass *Reader = S.info(ccr("enterReader")).Class;
+  const frontend::PredicateClass *Writer = S.info(ccr("enterWriter")).Class;
+  // (Target, Conditional, All, Chain).
+  using W = std::tuple<const frontend::PredicateClass *, bool, bool, bool>;
+  using Ws = std::vector<W>;
+  auto wakes = [&](const WakeLowering &L, const char *Method) {
+    Ws Out;
+    for (const Wake &Wk : L.wakesAfter(ccr(Method)))
+      Out.emplace_back(Wk.Target, Wk.Conditional, Wk.All, Wk.Chain);
+    return Out;
+  };
+  for (bool Lazy : {true, false}) {
+    SignalPlan Plan = Def->GoldPlan(S);
+    Plan.LazyBroadcast = Lazy;
+    const WakeLowering L(S, Plan);
+    // Signals pass through unchanged.
+    EXPECT_EQ(wakes(L, "exitReader"), (Ws{{Writer, true, false, false}}))
+        << Lazy;
+    EXPECT_EQ(wakes(L, "enterWriter"), Ws{}) << Lazy;
+    if (Lazy) {
+      // The broadcast becomes one checked wake, and every reader passes it
+      // on, chain wake first.
+      EXPECT_EQ(wakes(L, "enterReader"), (Ws{{Reader, true, false, true}}));
+      EXPECT_EQ(wakes(L, "exitWriter"), (Ws{{Writer, true, false, false},
+                                            {Reader, true, false, false}}));
+    } else {
+      EXPECT_EQ(wakes(L, "enterReader"), Ws{});
+      EXPECT_EQ(wakes(L, "exitWriter"), (Ws{{Writer, true, false, false},
+                                            {Reader, false, true, false}}));
+    }
   }
 }
 
