@@ -140,9 +140,16 @@ analysis::abduce(logic::TermContext &C, solver::SmtSolver &Solver,
       if (Cand->isTrue() || Cand->isFalse())
         continue;
       // Consistency with P (abduction condition (2)).
-      if (!Solver.isSat(C.and_(P, Cand)))
+      solver::Answer A = Solver.checkSat(C.and_(P, Cand)).TheAnswer;
+      if (A == solver::Answer::Sat) {
+        Result.push_back(Cand);
         continue;
-      Result.push_back(Cand);
+      }
+      // Every later candidate of a disjunction ψ is a disjunct or a strict
+      // side of one, so it implies ψ: when P ∧ ψ is Unsat, so is P ∧ it.
+      if (A == solver::Answer::Unsat && Cand == Psi &&
+          Psi->kind() == logic::TermKind::Or)
+        break;
     }
   }
   return Result;

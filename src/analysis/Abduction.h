@@ -21,7 +21,9 @@
 /// inequality-strengthened literal variants (e.g. `x != -1` also proposes
 /// `x >= 0`); strengthenings remain sufficient, and Algorithm 2's fixpoint
 /// keeps only the inductive ones. Every returned candidate is consistent
-/// with P.
+/// with P. When the solver answers Unsat for P ∧ ψ and ψ is a disjunction,
+/// its disjuncts and their strict sides are skipped without a query: each
+/// implies ψ, so each is inconsistent with P too.
 ///
 //===----------------------------------------------------------------------===//
 

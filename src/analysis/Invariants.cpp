@@ -43,17 +43,6 @@ const Term *renameClassFresh(logic::TermContext &C, const PredicateClass &Q) {
   return logic::substitute(C, Q.Canonical, Subst);
 }
 
-/// Abducible vocabulary: shared scalar fields (an invariant must hold for
-/// every thread, so locals are excluded; arrays are outside the QE
-/// fragment).
-std::vector<const Term *> abducibles(const SemaInfo &Sema) {
-  std::vector<const Term *> Result;
-  for (const Term *V : Sema.sharedVars())
-    if (V->sort() == logic::Sort::Int || V->sort() == logic::Sort::Bool)
-      Result.push_back(V);
-  return Result;
-}
-
 /// The consecution triple {I and Guard(w)} Body(w) {Post} of CCR \p W.
 HoareTriple consecution(logic::TermContext &C, const Term *I,
                         const CcrInfo &W, const Term *Post) {
@@ -66,6 +55,43 @@ HoareTriple consecution(logic::TermContext &C, const Term *I,
 }
 
 } // namespace
+
+std::vector<const Term *> analysis::abducibles(const SemaInfo &Sema) {
+  std::vector<const Term *> Result;
+  for (const Term *V : Sema.sharedVars())
+    if (V->sort() == logic::Sort::Int || V->sort() == logic::Sort::Bool)
+      Result.push_back(V);
+  return Result;
+}
+
+std::vector<std::pair<const Term *, const Term *>>
+analysis::abductionTriples(logic::TermContext &C, const SemaInfo &Sema,
+                           WpEngine &Wp) {
+  std::vector<std::pair<const Term *, const Term *>> Theta;
+  for (const CcrInfo &W : Sema.Ccrs) {
+    for (const auto &QPtr : Sema.Classes) {
+      const PredicateClass &Q = *QPtr;
+      const Term *P = renameClassFresh(C, Q);
+      const Term *NoSignalPost = Wp.wp(W.W->Body, W.Parent, C.not_(P));
+      const Term *UncondPost = Wp.wp(W.W->Body, W.Parent, P);
+      const Term *Pre = C.and_(W.Guard, C.not_(P));
+      Theta.emplace_back(Pre, NoSignalPost);
+      Theta.emplace_back(Pre, UncondPost);
+    }
+  }
+  // Single-signal triples: {p} Body(w') {not p} per class.
+  for (const auto &QPtr : Sema.Classes) {
+    const PredicateClass &Q = *QPtr;
+    const Term *P = renameClassFresh(C, Q);
+    for (const CcrInfo &W : Sema.Ccrs) {
+      if (W.Class != &Q)
+        continue;
+      const Term *Post = Wp.wp(W.W->Body, W.Parent, C.not_(P));
+      Theta.emplace_back(C.and_(W.Guard, P), Post);
+    }
+  }
+  return Theta;
+}
 
 bool analysis::isMonitorInvariant(logic::TermContext &C, const SemaInfo &Sema,
                                   solver::SmtSolver &Solver, const Term *I) {
@@ -106,29 +132,8 @@ InvariantResult analysis::inferMonitorInvariant(logic::TermContext &C,
   // --- Phase 1: candidate universe Φ from abduction over Θ. --------------
   // Θ is the triple set PlaceSignals generates with I = true (paper, §5).
   obs::Span AbdSpan(Cfg.Trace, "invariant.abduction");
-  std::vector<std::pair<const Term *, const Term *>> Theta; // (Pre, Goal=wp)
-  for (const CcrInfo &W : Sema.Ccrs) {
-    for (const auto &QPtr : Sema.Classes) {
-      const PredicateClass &Q = *QPtr;
-      const Term *P = renameClassFresh(C, Q);
-      const Term *NoSignalPost = Wp.wp(W.W->Body, W.Parent, C.not_(P));
-      const Term *UncondPost = Wp.wp(W.W->Body, W.Parent, P);
-      const Term *Pre = C.and_(W.Guard, C.not_(P));
-      Theta.emplace_back(Pre, NoSignalPost);
-      Theta.emplace_back(Pre, UncondPost);
-    }
-  }
-  // Single-signal triples: {p} Body(w') {not p} per class.
-  for (const auto &QPtr : Sema.Classes) {
-    const PredicateClass &Q = *QPtr;
-    const Term *P = renameClassFresh(C, Q);
-    for (const CcrInfo &W : Sema.Ccrs) {
-      if (W.Class != &Q)
-        continue;
-      const Term *Post = Wp.wp(W.W->Body, W.Parent, C.not_(P));
-      Theta.emplace_back(C.and_(W.Guard, P), Post);
-    }
-  }
+  std::vector<std::pair<const Term *, const Term *>> Theta =
+      abductionTriples(C, Sema, Wp);
 
   // Id-ordered: iteration order feeds the initiation filter, the Φ vector,
   // and ultimately the greedy minimization — pointer order would make the

@@ -30,6 +30,7 @@
 #include "frontend/Sema.h"
 #include "solver/SolverFactory.h"
 
+#include <utility>
 #include <vector>
 
 namespace expresso {
@@ -99,6 +100,20 @@ InvariantResult inferMonitorInvariant(logic::TermContext &C,
                                       solver::SmtSolver &Solver,
                                       const InvariantConfig &Cfg =
                                           InvariantConfig());
+
+/// The abducible vocabulary: the monitor's shared Int and Bool fields (an
+/// invariant must hold for every thread, so locals are excluded; arrays are
+/// outside the QE fragment).
+std::vector<const logic::Term *>
+abducibles(const frontend::SemaInfo &Sema);
+
+/// Θ as (Pre, Goal = wp) pairs, in the order phase 1 abduces over them: per
+/// CCR and predicate class the no-signal and unconditionality triples, then
+/// per class the single-signal triples of its CCRs. Each call renames the
+/// classes' placeholders to new fresh variables.
+std::vector<std::pair<const logic::Term *, const logic::Term *>>
+abductionTriples(logic::TermContext &C, const frontend::SemaInfo &Sema,
+                 WpEngine &Wp);
 
 /// Verifies that \p I is a valid monitor invariant (initiation +
 /// consecution). Exposed for tests and for user-supplied invariants.

@@ -497,6 +497,7 @@ PlacementResult core::placeSignals(logic::TermContext &C,
     Result.Stats.Cache.Misses = Now.Misses - StatsBefore.Misses;
     Result.Stats.Cache.DiskHits = Now.DiskHits - StatsBefore.DiskHits;
     Result.Stats.Cache.DiskMisses = Now.DiskMisses - StatsBefore.DiskMisses;
+    Result.Stats.Cache.ModelHits = Now.ModelHits - StatsBefore.ModelHits;
   }
   // The flag is the token's *final* state, not the loops' break
   // bookkeeping: even a pair that "finished" after expiry may have absorbed

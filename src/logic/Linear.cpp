@@ -178,8 +178,45 @@ std::optional<LinearTerm> logic::linearize(const Term *T) {
 
 namespace {
 
+/// Reduces every coefficient and the constant of \p L into [0, D), dropping
+/// atoms whose coefficient becomes 0.
+void reduceModulo(LinearTerm &L, int64_t D) {
+  for (auto It = L.Coeffs.begin(); It != L.Coeffs.end();) {
+    It->second = mathMod(It->second, D);
+    if (It->second == 0) {
+      It = L.Coeffs.erase(It);
+    } else {
+      ++It;
+    }
+  }
+  L.Constant = mathMod(L.Constant, D);
+}
+
+/// A * B mod M for A, B in [0, M), without overflow.
+int64_t mulMod(int64_t A, int64_t B, int64_t M) {
+  return static_cast<int64_t>(static_cast<__int128>(A) * B % M);
+}
+
+/// The inverse of \p A modulo \p M (A in [1, M), coprime to M).
+int64_t modInverse(int64_t A, int64_t M) {
+  // Extended Euclid on (A, M), tracking only A's Bezout coefficient.
+  int64_t R0 = M, R1 = A, T0 = 0, T1 = 1;
+  while (R1 != 0) {
+    int64_t Q = R0 / R1;
+    int64_t R2 = R0 - Q * R1;
+    R0 = R1;
+    R1 = R2;
+    int64_t T2 = T0 - Q * T1;
+    T0 = T1;
+    T1 = T2;
+  }
+  assert(R0 == 1 && "modInverse of a non-unit");
+  return mathMod(T0, M);
+}
+
 /// Divides an Le-form (L <= 0) through by the gcd of its coefficients using
-/// integer tightening, and canonicalizes Eq forms.
+/// integer tightening, canonicalizes Eq forms, and puts Dvd / NDvd forms in
+/// normal form (see below).
 void tighten(LinAtom &A) {
   if (A.Kind == LinAtomKind::Le) {
     int64_t G = A.L.coeffGcd();
@@ -215,18 +252,40 @@ void tighten(LinAtom &A) {
     }
     return;
   }
-  // Dvd / NDvd: reduce coefficients and divisor modulo the divisor.
+  // Dvd / NDvd: reduce coefficients and constant modulo the divisor.
   int64_t D = A.Divisor;
   assert(D >= 1);
-  for (auto It = A.L.Coeffs.begin(); It != A.L.Coeffs.end();) {
-    It->second = mathMod(It->second, D);
-    if (It->second == 0) {
-      It = A.L.Coeffs.erase(It);
-    } else {
-      ++It;
+  reduceModulo(A.L, D);
+  if (A.L.Coeffs.empty())
+    return;
+  // D | g*L' + c with g = gcd(D, coefficients): when g does not divide c
+  // the sum is c mod g everywhere, so Dvd is false and NDvd true;
+  // otherwise divide D, the coefficients and c by g.
+  int64_t G = gcd64(D, A.L.coeffGcd());
+  if (G > 1) {
+    if (A.L.Constant % G != 0) {
+      bool Holds = A.Kind == LinAtomKind::NDvd;
+      A.Kind = LinAtomKind::Le;
+      A.L = LinearTerm();
+      A.L.Constant = Holds ? 0 : 1; // `0 <= 0` or `1 <= 0`
+      return;
     }
+    for (auto &[Atom, Coeff] : A.L.Coeffs)
+      Coeff /= G;
+    A.L.Constant /= G;
+    D /= G;
+    A.Divisor = D;
   }
-  A.L.Constant = mathMod(A.L.Constant, D);
+  // Scaling by a unit mod D keeps the atom's meaning; scale the lowest-id
+  // atom's coefficient to 1 when it is a unit, so `9 | 8v + 1` and
+  // `9 | v + 8` (that is, `36 | 8v + 28`) become one atom.
+  int64_t Lead = A.L.Coeffs.begin()->second;
+  if (Lead != 1 && gcd64(Lead, D) == 1) {
+    int64_t Inv = modInverse(Lead, D);
+    for (auto &[Atom, Coeff] : A.L.Coeffs)
+      Coeff = mulMod(Coeff, Inv, D);
+    A.L.Constant = mulMod(A.L.Constant, Inv, D);
+  }
 }
 
 } // namespace

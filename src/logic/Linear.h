@@ -90,8 +90,12 @@ struct LinAtom {
 ///   a <= b   => a - b <= 0, coefficients divided by their gcd with ceiling
 ///               division on the constant;
 ///   a == b   => a - b == 0 (or `false` as Le 1 <= 0 when gcd ∤ constant);
+///   D | t    => coefficients and constant reduced into [0, D), then
+///               gcd(D, coefficients) divided out (`false` when it does not
+///               divide the constant), then every term scaled so the
+///               lowest-id coefficient is 1 when it is a unit mod D;
 ///   not(...) for Le/Lt/Eq is rewritten arithmetically; negated Dvd stays
-///   NDvd.
+///   NDvd (`true` where Dvd would be `false`).
 /// Returns nullopt for terms that are not linear-arithmetic atoms (boolean
 /// variables etc.).
 std::optional<LinAtom> normalizeLinAtom(const Term *T);

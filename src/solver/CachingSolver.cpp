@@ -65,11 +65,19 @@ CheckResult CachingSolver::computeOwned(const Term *F,
     }
     DiskMisses.fetch_add(1, std::memory_order_relaxed);
   }
-  if (Q.enabled()) {
-    Q.arg("tier", "solve");
-    Q.arg("backend", Backend->name());
+  // Third tier: a kept model that satisfies F is a witness, so F is Sat.
+  ModelTier::Formula Flat(F);
+  if (Models.answer(Flat, R)) {
+    ModelHits.fetch_add(1, std::memory_order_relaxed);
+    Q.arg("tier", "model");
+  } else {
+    if (Q.enabled()) {
+      Q.arg("tier", "solve");
+      Q.arg("backend", Backend->name());
+    }
+    R = Compute(F);
+    Models.keep(Flat, R);
   }
-  R = Compute(F);
   // Publication gate: a result computed under an expired token is a
   // cancellation artifact (Unknown), not the formula's answer — keep it out
   // of the shared store. (append is a no-op when read-only.)

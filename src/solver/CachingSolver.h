@@ -32,21 +32,23 @@
 /// table with a private backend (minted by mintWorkerBackends) for the
 /// misses it owns, going through lookupOrCompute.
 ///
-/// Two-tier operation: when a persist::QueryStore is attached
-/// (attachStore), the sharded memo stays in front and the disk store sits
-/// behind it — a memo miss probes the store by the formula's canonical
-/// serialization (persist::TermCodec) before falling through to the
-/// backend, and backend answers are written through so the next process
-/// starts warm. Worker sessions inherit the store automatically (they
-/// funnel through the shared lookupOrCompute), and per-tier hit/miss
-/// counters stay deterministic because only the single-flight owner of a
-/// formula ever touches the persistent tier.
+/// Tiers: a lookup goes memo → disk → model → backend. When a
+/// persist::QueryStore is attached (attachStore), a memo miss probes the
+/// store by the formula's canonical serialization (persist::TermCodec).
+/// A store miss then asks the model tier (solver::ModelTier): a complete
+/// model of an earlier Sat answer of this solver that satisfies the formula
+/// answers Sat with no backend call. Only what is left reaches the backend.
+/// Model-tier and backend answers are written through to the store alike,
+/// so the next process starts warm. Worker sessions inherit every tier
+/// (they funnel through the shared lookupOrCompute), and only the
+/// single-flight owner of a formula touches the tiers behind the memo.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXPRESSO_SOLVER_CACHINGSOLVER_H
 #define EXPRESSO_SOLVER_CACHINGSOLVER_H
 
+#include "solver/ModelTier.h"
 #include "solver/SmtSolver.h"
 #include "solver/SolverFactory.h"
 
@@ -70,17 +72,20 @@ class QueryStore;
 namespace solver {
 
 /// Hit/miss accounting snapshot for one CachingSolver, per tier: the
-/// in-memory memo (Hits/Misses) and, when a persist::QueryStore is
-/// attached, the persistent tier behind it (DiskHits/DiskMisses). Every
-/// memo miss becomes exactly one disk lookup, so DiskHits + DiskMisses ==
-/// Misses when a store is attached and 0 otherwise — and all four counters
-/// are deterministic under any parallel interleaving (single-flight memo
-/// entries mean one owner per distinct formula).
+/// in-memory memo (Hits/Misses), when a persist::QueryStore is attached
+/// the persistent tier behind it (DiskHits/DiskMisses), and the model tier
+/// behind both (ModelHits). Every memo miss becomes exactly one disk lookup,
+/// so DiskHits + DiskMisses == Misses when a store is attached and 0
+/// otherwise. The memo and disk counters are deterministic under any
+/// parallel interleaving (single-flight memo entries mean one owner per
+/// distinct formula); ModelHits is deterministic in a serial run, and
+/// under --jobs depends on which models were kept first.
 struct CacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t DiskHits = 0;   ///< memo misses answered by the persistent store
-  uint64_t DiskMisses = 0; ///< memo misses that had to hit the backend
+  uint64_t DiskMisses = 0; ///< memo misses the persistent store did not answer
+  uint64_t ModelHits = 0;  ///< memo and store misses a kept model answered
 
   uint64_t lookups() const { return Hits + Misses; }
   double hitRate() const {
@@ -144,8 +149,8 @@ public:
 
   /// Attaches (or detaches, with null) a persistent store as the second
   /// tier: memo misses first probe the store by the formula's canonical
-  /// encoding; store misses are computed on the backend and written through
-  /// (unless the store is read-only). The store outlives any formula this
+  /// encoding; store misses are answered by the model tier or the backend
+  /// and written through (unless the store is read-only). The store outlives any formula this
   /// solver caches and may be shared by several CachingSolvers across
   /// different TermContexts — keys are context-free byte strings.
   void attachStore(std::shared_ptr<persist::QueryStore> Store) {
@@ -156,8 +161,9 @@ public:
   /// Attaches (or detaches, with null) a span tracer: every lookup then
   /// records one "solver.query" span carrying its cache-tier outcome —
   /// "memo" (answered by the in-memory table, in-flight waits included),
-  /// "disk" (persistent store), or "solve" (computed on a backend, with the
-  /// backend's name) — plus the answer. Tracing reads counters and clocks only: it never touches the
+  /// "disk" (persistent store), "model" (a kept model satisfied it), or
+  /// "solve" (computed on a backend, with the backend's name) — plus the
+  /// answer. Tracing reads counters and clocks only: it never touches the
   /// memo, the store, or any stat, so traced and untraced runs are
   /// byte-identical (the obs determinism contract). Not owned; callers
   /// must detach before the tracer dies (placeSignals does, via a scope
@@ -173,6 +179,7 @@ public:
     S.Misses = Misses.load(std::memory_order_relaxed);
     S.DiskHits = DiskHits.load(std::memory_order_relaxed);
     S.DiskMisses = DiskMisses.load(std::memory_order_relaxed);
+    S.ModelHits = ModelHits.load(std::memory_order_relaxed);
     return S;
   }
   size_t cacheSize() const;
@@ -183,8 +190,9 @@ public:
 
 private:
   /// Probes the persistent tier for the owning miss of \p F (counting disk
-  /// hit/miss) and computes + writes through on a store miss. The tier
-  /// outcome is recorded onto the caller's query span \p Q.
+  /// hit/miss), then the model tier, and computes on a miss of both; an
+  /// answer from either of the last two is written through to the store.
+  /// The tier outcome is recorded onto the caller's query span \p Q.
   CheckResult computeOwned(const logic::Term *F, const ComputeFn &Compute,
                            obs::Span &Q);
 
@@ -201,11 +209,13 @@ private:
   SmtSolver *Backend = nullptr;
   obs::Tracer *Trace = nullptr; ///< not owned; null = tracing off
   std::shared_ptr<persist::QueryStore> Store; ///< second tier; may be null
+  ModelTier Models;                           ///< third tier
   std::array<Shard, NumShards> Shards;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> DiskHits{0};
   std::atomic<uint64_t> DiskMisses{0};
+  std::atomic<uint64_t> ModelHits{0};
 };
 
 /// Mints one private backend per job from \p Factory, each validated

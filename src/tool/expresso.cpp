@@ -926,6 +926,9 @@ int main(int Argc, char **Argv) {
     }
     printCounterLines(Result.Stats.counts(), Options.CacheQueries,
                       "persistent cache:", TierSuffix);
+    // Local only: the daemon's wire response has no model-tier counter.
+    std::printf("  model tier:           %" PRIu64 " hits\n",
+                Result.Stats.Cache.ModelHits);
     std::printf("  analysis time:        %.2fs (invariant %.2fs)\n", Elapsed,
                 Result.Stats.InvariantSeconds);
     // Deliberately below summary(): Σ and the stats trailer are mode-

@@ -16,6 +16,8 @@
 #include "logic/Printer.h"
 #include "logic/Simplify.h"
 #include "obs/Trace.h"
+#include "qe/Cooper.h"
+#include "solver/CachingSolver.h"
 #include "specgen/SpecGen.h"
 #include "support/Rng.h"
 
@@ -23,7 +25,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace expresso;
@@ -358,6 +362,224 @@ TEST(AbductionTest, ReturnsNothingWhenAlreadyValid) {
   EXPECT_TRUE(Candidates.empty());
 }
 
+/// Records every formula it is asked about. Answers Unknown for the first
+/// \p UnknownFirst of them and forwards the rest to \p Inner.
+class RecordingSolver : public solver::SmtSolver {
+public:
+  RecordingSolver(logic::TermContext &C, solver::SmtSolver &Inner,
+                  size_t UnknownFirst = 0)
+      : SmtSolver(C), Inner(Inner), UnknownFirst(UnknownFirst) {}
+
+  solver::CheckResult checkSat(const Term *F) override {
+    Asked.push_back(F);
+    if (Asked.size() <= UnknownFirst)
+      return solver::CheckResult();
+    return Inner.checkSat(F);
+  }
+  std::string name() const override { return "recording-" + Inner.name(); }
+
+  std::vector<const Term *> Asked;
+
+private:
+  solver::SmtSolver &Inner;
+  size_t UnknownFirst;
+};
+
+/// The disjunction conjoined into a consistency query P ∧ ψ, or null.
+const Term *disjunctionIn(const Term *Query) {
+  for (const Term *Op : Query->operands())
+    if (Op->kind() == logic::TermKind::Or)
+      return Op;
+  return nullptr;
+}
+
+/// P = x >= 5 ∧ y >= 5 and Goal = x + y <= 3 over the full abducible set
+/// {x, y}: the one ψ is x + y <= 3 ∨ ¬(5 <= y ∧ 5 <= x), inconsistent
+/// with P.
+struct InconsistentDisjunction {
+  logic::TermContext C;
+  const Term *X = C.var("x", logic::Sort::Int);
+  const Term *Y = C.var("y", logic::Sort::Int);
+  const Term *P =
+      C.and_(C.ge(X, C.intConst(5)), C.ge(Y, C.intConst(5)));
+  const Term *Goal = C.le(C.add(X, Y), C.intConst(3));
+  std::unique_ptr<solver::SmtSolver> Inner =
+      solver::createSolver(solver::SolverKind::Default, C);
+
+  std::vector<const Term *> abduceWith(solver::SmtSolver &Solver) {
+    AbductionConfig Cfg;
+    Cfg.MaxSubsetSize = 0; // only the full set
+    return abduce(C, Solver, P, Goal, {X, Y}, Cfg);
+  }
+};
+
+TEST(AbductionTest, UnsatDisjunctionSkipsItsDisjuncts) {
+  InconsistentDisjunction D;
+  RecordingSolver Rec(D.C, *D.Inner);
+  EXPECT_TRUE(D.abduceWith(Rec).empty());
+  ASSERT_EQ(Rec.Asked.size(), 1u);
+  const Term *Psi = disjunctionIn(Rec.Asked[0]);
+  ASSERT_NE(Psi, nullptr) << logic::printTerm(Rec.Asked[0]);
+  EXPECT_EQ(Psi->numOperands(), 2u) << logic::printTerm(Psi);
+}
+
+TEST(AbductionTest, UnknownDisjunctionStillQueriesEachDisjunct) {
+  InconsistentDisjunction D;
+  RecordingSolver Rec(D.C, *D.Inner, /*UnknownFirst=*/1);
+  EXPECT_TRUE(D.abduceWith(Rec).empty());
+  ASSERT_FALSE(Rec.Asked.empty());
+  const Term *Psi = disjunctionIn(Rec.Asked[0]);
+  ASSERT_NE(Psi, nullptr) << logic::printTerm(Rec.Asked[0]);
+  ASSERT_EQ(Rec.Asked.size(), 1 + Psi->numOperands());
+  for (size_t I = 0; I < Psi->numOperands(); ++I)
+    EXPECT_EQ(Rec.Asked[1 + I],
+              D.C.and_(D.P, logic::simplify(D.C, Psi->operand(I))));
+}
+
+/// abduce's candidate generation (see Abduction.cpp) with one consistency
+/// query per candidate and no skipping.
+void referenceSubCandidates(logic::TermContext &C, const Term *Psi,
+                            std::vector<const Term *> &Out) {
+  auto Sides = [&](const Term *L) {
+    if (L->kind() != logic::TermKind::Not ||
+        L->operand(0)->kind() != logic::TermKind::Eq ||
+        L->operand(0)->operand(0)->sort() != logic::Sort::Int)
+      return;
+    const Term *A = L->operand(0)->operand(0);
+    const Term *B = L->operand(0)->operand(1);
+    Out.push_back(C.lt(A, B));
+    Out.push_back(C.lt(B, A));
+  };
+  Out.push_back(Psi);
+  Sides(Psi);
+  if (Psi->kind() == logic::TermKind::And ||
+      Psi->kind() == logic::TermKind::Or)
+    for (const Term *Op : Psi->operands()) {
+      Out.push_back(Op);
+      Sides(Op);
+    }
+}
+
+std::vector<const Term *>
+referenceAbduce(logic::TermContext &C, solver::SmtSolver &Solver,
+                const Term *P, const Term *Goal,
+                const std::vector<const Term *> &Abducibles) {
+  const AbductionConfig Cfg;
+  const Term *F = logic::simplify(C, C.implies(P, Goal));
+  std::vector<const Term *> Result;
+  if (F->isTrue())
+    return Result;
+  std::vector<const Term *> AllVars = logic::freeVars(F);
+  std::vector<const Term *> Relevant;
+  for (const Term *A : Abducibles)
+    if (std::find(AllVars.begin(), AllVars.end(), A) != AllVars.end())
+      Relevant.push_back(A);
+  // Subsets of size 1 and 2 in abduce's order, then the full set.
+  std::vector<std::vector<const Term *>> Subsets;
+  for (size_t I = 0; I < Relevant.size(); ++I)
+    Subsets.push_back({Relevant[I]});
+  for (size_t I = 0; I < Relevant.size(); ++I)
+    for (size_t J = I + 1; J < Relevant.size(); ++J)
+      Subsets.push_back({Relevant[I], Relevant[J]});
+  if (Relevant.size() > Cfg.MaxSubsetSize)
+    Subsets.push_back(Relevant);
+
+  std::set<const Term *> Seen;
+  for (const auto &Keep : Subsets) {
+    std::vector<const Term *> Elim;
+    bool HasArray = false;
+    for (const Term *V : AllVars) {
+      if (std::find(Keep.begin(), Keep.end(), V) != Keep.end())
+        continue;
+      HasArray |= V->sort() == logic::Sort::IntArray ||
+                  V->sort() == logic::Sort::BoolArray;
+      Elim.push_back(V);
+    }
+    if (HasArray)
+      continue;
+    auto PsiOpt = qe::eliminateForall(C, F, Elim);
+    if (!PsiOpt)
+      continue;
+    const Term *Psi = logic::simplify(C, *PsiOpt);
+    if (Psi->isTrue() || Psi->isFalse())
+      continue;
+    std::vector<const Term *> Candidates;
+    referenceSubCandidates(C, Psi, Candidates);
+    for (const Term *RawCand : Candidates) {
+      if (Result.size() >= Cfg.MaxCandidates)
+        return Result;
+      const Term *Cand = logic::simplify(C, RawCand);
+      if (!Seen.insert(Cand).second || Cand->isBoolConst())
+        continue;
+      if (Solver.isSat(C.and_(P, Cand)))
+        Result.push_back(Cand);
+    }
+  }
+  return Result;
+}
+
+/// The two-CCR specs of every guard shape that the repository benchmark's
+/// pinned analyze inputs draw from the same seeds, as (config, source).
+std::vector<std::pair<std::string, std::string>> pinnedSpecgenMonitors() {
+  const specgen::GuardShape Shapes[] = {
+      specgen::GuardShape::Comparison, specgen::GuardShape::Arithmetic,
+      specgen::GuardShape::Boolean, specgen::GuardShape::Mixed};
+  std::vector<std::pair<std::string, std::string>> Out;
+  for (unsigned S = 0; S < 4; ++S)
+    for (unsigned K = 0; K < 6; ++K) {
+      specgen::GenConfig Cfg;
+      Cfg.Seed = 1 + S * 16 + K;
+      Cfg.Ccrs = 2;
+      Cfg.Shape = Shapes[S];
+      Cfg.FanIn = 1;
+      Cfg.normalize();
+      Out.emplace_back(specgen::configToString(Cfg),
+                       specgen::generateMonitorSource(Cfg));
+    }
+  return Out;
+}
+
+/// Over the Θ that inference abduces on (up to its query cap), abduce
+/// returns exactly the per-candidate reference's candidates.
+void expectAbductionMatchesReference(const std::string &Name,
+                                     const std::string &Source) {
+  SCOPED_TRACE(Name);
+  DiagnosticEngine Diags;
+  std::unique_ptr<Monitor> M = parseMonitor(Source, Diags);
+  ASSERT_NE(M, nullptr) << Diags.str();
+  logic::TermContext C;
+  std::unique_ptr<SemaInfo> Sema = analyze(*M, C, Diags);
+  ASSERT_NE(Sema, nullptr) << Diags.str();
+  // One memo under both, so they see the same answers.
+  solver::CachingSolver Solver(
+      solver::createSolver(solver::SolverKind::Default, C));
+  HoareChecker Chk(C, *Sema, Solver);
+  const std::vector<const Term *> Vocab = abducibles(*Sema);
+  size_t Queries = 0;
+  for (const auto &[Pre, Goal] :
+       abductionTriples(C, *Sema, Chk.wpEngine())) {
+    if (Queries == InvariantConfig().MaxAbductionQueries)
+      break;
+    if (logic::simplify(C, C.implies(Pre, Goal))->isTrue())
+      continue;
+    ++Queries;
+    EXPECT_EQ(abduce(C, Solver, Pre, Goal, Vocab),
+              referenceAbduce(C, Solver, Pre, Goal, Vocab))
+        << "pre: " << logic::printTerm(Pre)
+        << "\ngoal: " << logic::printTerm(Goal);
+  }
+}
+
+TEST(AbductionTest, MatchesPerCandidateReferenceOnPaperMonitors) {
+  for (const bench::BenchmarkDef &Def : bench::allBenchmarks())
+    expectAbductionMatchesReference(Def.Name, Def.Source);
+}
+
+TEST(AbductionTest, MatchesPerCandidateReferenceOnSpecgenMonitors) {
+  for (const auto &[Name, Source] : pinnedSpecgenMonitors())
+    expectAbductionMatchesReference(Name, Source);
+}
+
 //===----------------------------------------------------------------------===//
 // Invariant inference (Algorithm 2)
 //===----------------------------------------------------------------------===//
@@ -562,22 +784,8 @@ TEST(InvariantTest, PaperMonitorsMatchPerCandidateFixpoint) {
 }
 
 TEST(InvariantTest, SpecgenMonitorsMatchPerCandidateFixpoint) {
-  // Two-CCR specs of every guard shape, drawn from the same seeds as the
-  // repository benchmark's pinned analyze inputs.
-  const specgen::GuardShape Shapes[] = {
-      specgen::GuardShape::Comparison, specgen::GuardShape::Arithmetic,
-      specgen::GuardShape::Boolean, specgen::GuardShape::Mixed};
-  for (unsigned S = 0; S < 4; ++S)
-    for (unsigned K = 0; K < 6; ++K) {
-      specgen::GenConfig Cfg;
-      Cfg.Seed = 1 + S * 16 + K;
-      Cfg.Ccrs = 2;
-      Cfg.Shape = Shapes[S];
-      Cfg.FanIn = 1;
-      Cfg.normalize();
-      expectReferencePredicates(specgen::configToString(Cfg),
-                                specgen::generateMonitorSource(Cfg));
-    }
+  for (const auto &[Name, Source] : pinnedSpecgenMonitors())
+    expectReferencePredicates(Name, Source);
 }
 
 } // namespace

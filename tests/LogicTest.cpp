@@ -231,6 +231,79 @@ TEST_F(LogicTest, NormalizeEqInfeasibleGcd) {
   EXPECT_GT(A->L.Constant, 0);
 }
 
+TEST_F(LogicTest, NormalizeDvdDividesOutGcdAndScalesLeadToOne) {
+  // 36 | 8x + 28  ≡  9 | 2x + 7  ≡  9 | x + 8 (times 5, the inverse of 2
+  // mod 9)  ≡  9 | 8x + 1 (the same atom after scaling by 8).
+  const Term *Forms[] = {
+      C.divides(36, C.add(C.mulConst(8, X), C.intConst(28))),
+      C.divides(9, C.add(X, C.intConst(8))),
+      C.divides(9, C.add(C.mulConst(8, X), C.getOne()))};
+  for (const Term *F : Forms) {
+    SCOPED_TRACE(F->str());
+    auto A = normalizeLinAtom(F);
+    ASSERT_TRUE(A.has_value());
+    EXPECT_EQ(A->Kind, LinAtomKind::Dvd);
+    EXPECT_EQ(A->Divisor, 9);
+    EXPECT_EQ(A->L.coeff(X), 1);
+    EXPECT_EQ(A->L.Coeffs.size(), 1u);
+    EXPECT_EQ(A->L.Constant, 8);
+    EXPECT_EQ(simplify(C, F), simplify(C, Forms[1]));
+  }
+  // The disjunction the three spell collapses to one atom.
+  EXPECT_EQ(simplify(C, C.or_({Forms[0], Forms[2]})), simplify(C, Forms[1]));
+}
+
+TEST_F(LogicTest, NormalizeDvdGcdNotDividingConstant) {
+  // 4 | 2x + 1 never holds (2x + 1 is odd), and its negation always does.
+  const Term *Odd = C.divides(4, C.add(C.mulConst(2, X), C.getOne()));
+  auto A = normalizeLinAtom(Odd);
+  ASSERT_TRUE(A.has_value());
+  EXPECT_EQ(A->Kind, LinAtomKind::Le);
+  EXPECT_TRUE(A->L.isConstant());
+  EXPECT_GT(A->L.Constant, 0);
+  auto N = normalizeLinAtom(C.not_(Odd));
+  ASSERT_TRUE(N.has_value());
+  EXPECT_EQ(N->Kind, LinAtomKind::Le);
+  EXPECT_TRUE(N->L.isConstant());
+  EXPECT_LE(N->L.Constant, 0);
+  EXPECT_EQ(simplify(C, Odd), C.getFalse());
+  EXPECT_EQ(simplify(C, C.not_(Odd)), C.getTrue());
+}
+
+TEST_F(LogicTest, NormalizeDvdKeepsANonUnitLead) {
+  // gcd(6, 2, 3) = 1 and 2 is no unit mod 6: only the reduction applies.
+  auto A = normalizeLinAtom(
+      C.divides(6, C.add({C.mulConst(8, X), C.mulConst(3, Y), C.intConst(7)})));
+  ASSERT_TRUE(A.has_value());
+  EXPECT_EQ(A->Kind, LinAtomKind::Dvd);
+  EXPECT_EQ(A->Divisor, 6);
+  EXPECT_EQ(A->L.coeff(X), 2);
+  EXPECT_EQ(A->L.coeff(Y), 3);
+  EXPECT_EQ(A->L.Constant, 1);
+}
+
+TEST_F(LogicTest, NormalizeDvdPreservesMeaning) {
+  // Exhaustively over small divisors, coefficients, constants and values:
+  // the normal form holds exactly where the atom (or its negation) does.
+  for (int64_t D = 1; D <= 12; ++D)
+    for (int64_t A = -13; A <= 13; ++A)
+      for (int64_t K = -13; K <= 13; ++K) {
+        const Term *Atom =
+            C.divides(D, C.add(C.mulConst(A, X), C.intConst(K)));
+        for (const Term *F : {Atom, C.not_(Atom)}) {
+          auto N = normalizeLinAtom(F);
+          if (!N)
+            continue; // folded to a constant by the smart constructor
+          const Term *Normal = N->toTerm(C);
+          for (int64_t V = -20; V <= 20; ++V) {
+            Assignment Asg{{"x", Value::ofInt(V)}};
+            ASSERT_EQ(evaluateBool(F, Asg), evaluateBool(Normal, Asg))
+                << F->str() << " vs " << Normal->str() << " at x = " << V;
+          }
+        }
+      }
+}
+
 //===----------------------------------------------------------------------===//
 // Simplifier
 //===----------------------------------------------------------------------===//

@@ -20,6 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
 using namespace expresso;
 using namespace expresso::frontend;
 using namespace expresso::core;
@@ -117,6 +120,30 @@ TEST(PlacementTest, ReadersWritersMatchesFigure2) {
 /// Without the monitor invariant, enterReader can no longer prove the
 /// no-signal triple (the paper's §2 observation) — placement degrades but
 /// stays sound.
+// Specgen seed 2074 (corpus/regressions/) once hung invariant inference on
+// abduction's first consistency check: a 40-way disjunction of atoms such
+// as `36 | 8*v0 + 28 && 9 | 8*v0 + 1`, which the divisibility normal form
+// collapses. On Z3 it now places in well under a second; MiniSmt still
+// takes minutes on it.
+TEST(PlacementTest, DivisibilityRegressionPlacesWithinDeadline) {
+  if (!solver::hasZ3())
+    GTEST_SKIP() << "bounded on Z3 only";
+  std::string Here = __FILE__;
+  std::ifstream In(Here.substr(0, Here.find_last_of('/')) +
+                   "/../corpus/regressions/seed2074_arithmetic.mon");
+  ASSERT_TRUE(In);
+  std::string Source((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+  support::CancelToken Deadline;
+  Deadline.setDeadlineAfterSeconds(30);
+  PlacementOptions Opts;
+  Opts.Cancel = &Deadline;
+  Pipeline P(Source.c_str(), Opts);
+  EXPECT_FALSE(P.Result.Cancelled)
+      << "cancelled during " << P.Result.cancelledPhase();
+  EXPECT_GT(P.Result.Stats.HoareChecks, 0u);
+}
+
 TEST(PlacementTest, WithoutInvariantIsConservative) {
   PlacementOptions Opts;
   Opts.UseInvariant = false;

@@ -4,16 +4,21 @@
 // Signal Placement" (PLDI 2018).
 //
 // Covers the memoizing solver decorator: hit/miss accounting, context-
-// mismatch rejection, structural-hash stability, and differential parity
-// of the cached solver against the undecorated backend on random formulas.
+// mismatch rejection, structural-hash stability, differential parity of
+// the cached solver against the undecorated backend on random formulas,
+// and the model tier's exactness guards.
 //
 //===----------------------------------------------------------------------===//
 
 #include "solver/CachingSolver.h"
 
+#include "persist/QueryStore.h"
 #include "tests/TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
+#include <functional>
 
 using namespace expresso;
 using namespace expresso::logic;
@@ -139,5 +144,158 @@ TEST_P(SolverCacheParityTest, AgreesWithUndecoratedBackend) {
 
 INSTANTIATE_TEST_SUITE_P(RandomFormulas, SolverCacheParityTest,
                          ::testing::Range(0, 4));
+
+/// A backend that records every formula it is asked about and answers
+/// through \p Answer (a real backend's checkSat by default).
+class RecordingBackend : public SmtSolver {
+public:
+  using AnswerFn = std::function<CheckResult(const Term *)>;
+  RecordingBackend(TermContext &C, AnswerFn Answer)
+      : SmtSolver(C), Answer(std::move(Answer)) {}
+  CheckResult checkSat(const Term *F) override {
+    ++Queries;
+    Asked.push_back(F);
+    return Answer(F);
+  }
+  std::string name() const override { return "recording"; }
+
+  std::vector<const Term *> Asked;
+
+private:
+  AnswerFn Answer;
+};
+
+/// A Sat answer with the complete model \p M.
+CheckResult satWith(Assignment M) {
+  CheckResult R;
+  R.TheAnswer = Answer::Sat;
+  R.Model = std::move(M);
+  R.ModelComplete = true;
+  return R;
+}
+
+TEST(ModelTierTest, KeptModelAnswersLaterFormulaWithoutBackend) {
+  TermContext C;
+  const Term *X = C.var("x", Sort::Int);
+  const Term *Y = C.var("y", Sort::Int);
+  const Term *Z = C.var("z", Sort::Int);
+  RecordingBackend Backend(C, [](const Term *) {
+    return satWith({{"x", Value::ofInt(7)}, {"y", Value::ofInt(3)}});
+  });
+  CachingSolver Cache(Backend);
+
+  ASSERT_EQ(Cache.checkSat(C.and_(C.eq(X, C.intConst(7)),
+                                  C.le(C.intConst(2), Y)))
+                .TheAnswer,
+            Answer::Sat);
+  EXPECT_EQ(Backend.Asked.size(), 1u);
+
+  // x = 7, y = 3 and the unbound z = 0 satisfy this: no backend call.
+  const Term *Later = C.and_({C.lt(C.intConst(5), X), C.lt(Y, C.intConst(4)),
+                              C.eq(Z, C.getZero())});
+  CheckResult R = Cache.checkSat(Later);
+  EXPECT_EQ(R.TheAnswer, Answer::Sat);
+  EXPECT_TRUE(R.ModelComplete);
+  EXPECT_TRUE(evaluateBool(Later, R.Model));
+  EXPECT_EQ(Backend.Asked.size(), 1u);
+  EXPECT_EQ(Cache.stats().ModelHits, 1u);
+  EXPECT_EQ(Cache.stats().Misses, 2u);
+}
+
+TEST(ModelTierTest, NeverAnswersUnsatOrForAFalsifiedFormula) {
+  TermContext C;
+  auto Mini = createSolver(SolverKind::Mini, C);
+  RecordingBackend Backend(C,
+                           [&Mini](const Term *F) { return Mini->checkSat(F); });
+  CachingSolver Cache(Backend);
+  const Term *X = C.var("x", Sort::Int);
+
+  ASSERT_EQ(Cache.checkSat(C.eq(X, C.intConst(7))).TheAnswer, Answer::Sat);
+  // The kept model (x = 7) falsifies x < 0: the backend answers it.
+  EXPECT_EQ(Cache.checkSat(C.lt(X, C.getZero())).TheAnswer, Answer::Sat);
+  EXPECT_EQ(Backend.Asked.size(), 2u);
+  // Unsat is only ever the backend's answer.
+  EXPECT_EQ(Cache.checkSat(notLeBound(C, 3)).TheAnswer, Answer::Unsat);
+  EXPECT_EQ(Backend.Asked.size(), 3u);
+  EXPECT_EQ(Cache.stats().ModelHits, 0u);
+}
+
+TEST(ModelTierTest, ArrayFormulasBypassTheTier) {
+  TermContext C;
+  const Term *X = C.var("x", Sort::Int);
+  const Term *A = C.var("a", Sort::IntArray);
+  RecordingBackend Backend(
+      C, [](const Term *) { return satWith({{"x", Value::ofInt(7)}}); });
+  CachingSolver Cache(Backend);
+
+  ASSERT_EQ(Cache.checkSat(C.eq(X, C.intConst(7))).TheAnswer, Answer::Sat);
+  // x = 7 and an all-zero array satisfy this, but the tier never evaluates
+  // an array formula.
+  Cache.checkSat(C.and_(C.lt(C.intConst(5), X),
+                        C.eq(C.select(A, C.getZero()), C.getZero())));
+  EXPECT_EQ(Backend.Asked.size(), 2u);
+  EXPECT_EQ(Cache.stats().ModelHits, 0u);
+}
+
+TEST(ModelTierTest, OverflowingEvaluationIsNotUsed) {
+  TermContext C;
+  const Term *X = C.var("x", Sort::Int);
+  RecordingBackend Backend(C, [](const Term *) {
+    return satWith({{"x", Value::ofInt(INT64_MAX - 1)}});
+  });
+  CachingSolver Cache(Backend);
+
+  ASSERT_EQ(Cache.checkSat(C.lt(C.intConst(1000), X)).TheAnswer, Answer::Sat);
+  // 3 * (INT64_MAX - 1) overflows: the model says nothing about 3x > 0.
+  Cache.checkSat(C.lt(C.getZero(), C.mulConst(3, X)));
+  EXPECT_EQ(Backend.Asked.size(), 2u);
+  EXPECT_EQ(Cache.stats().ModelHits, 0u);
+  // The model itself was kept: it answers a formula it evaluates safely.
+  EXPECT_EQ(Cache.checkSat(C.lt(C.intConst(2000), X)).TheAnswer, Answer::Sat);
+  EXPECT_EQ(Backend.Asked.size(), 2u);
+  EXPECT_EQ(Cache.stats().ModelHits, 1u);
+}
+
+TEST(ModelTierTest, WrongCompleteModelIsNeverKept) {
+  TermContext C;
+  const Term *X = C.var("x", Sort::Int);
+  // A lying backend: "Sat, complete model x = 0" for x > 10.
+  RecordingBackend Backend(
+      C, [](const Term *) { return satWith({{"x", Value::ofInt(0)}}); });
+  CachingSolver Cache(Backend);
+
+  Cache.checkSat(C.lt(C.intConst(10), X));
+  // x = 0 satisfies x < 5, but the model was never kept.
+  Cache.checkSat(C.lt(X, C.intConst(5)));
+  EXPECT_EQ(Backend.Asked.size(), 2u);
+  EXPECT_EQ(Cache.stats().ModelHits, 0u);
+}
+
+TEST(ModelTierTest, WarmStoreAnswersWhatTheTierAnswered) {
+  TermContext C;
+  const Term *X = C.var("x", Sort::Int);
+  std::vector<const Term *> Formulas = {
+      C.eq(X, C.intConst(7)), C.lt(C.intConst(5), X), notLeBound(C, 3),
+      C.le(X, C.intConst(9))};
+  auto Mini = createSolver(SolverKind::Mini, C);
+  auto Store = persist::QueryStore::createInMemory("mini");
+
+  RecordingBackend Cold(C, [&Mini](const Term *F) { return Mini->checkSat(F); });
+  CachingSolver ColdCache(Cold);
+  ColdCache.attachStore(Store);
+  std::vector<Answer> ColdAnswers;
+  for (const Term *F : Formulas)
+    ColdAnswers.push_back(ColdCache.checkSat(F).TheAnswer);
+  ASSERT_GT(ColdCache.stats().ModelHits, 0u);
+
+  RecordingBackend Warm(C, [&Mini](const Term *F) { return Mini->checkSat(F); });
+  CachingSolver WarmCache(Warm);
+  WarmCache.attachStore(Store);
+  for (size_t I = 0; I < Formulas.size(); ++I)
+    EXPECT_EQ(WarmCache.checkSat(Formulas[I]).TheAnswer, ColdAnswers[I]);
+  EXPECT_TRUE(Warm.Asked.empty());
+  EXPECT_EQ(WarmCache.stats().DiskHits, Formulas.size());
+  EXPECT_EQ(WarmCache.stats().ModelHits, 0u);
+}
 
 } // namespace
