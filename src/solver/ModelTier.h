@@ -14,7 +14,10 @@
 ///
 /// Exactness: a total assignment that makes a formula true is a witness of
 /// its satisfiability, so the tier never answers wrongly. It answers only
-/// Sat, never Unsat or Unknown. Variables a model does not bind read 0 (or
+/// Sat, never Unsat or Unknown. Where the backend would answer Unknown on
+/// a satisfiable formula, the tier may answer Sat instead; only abduction's
+/// consistency check tells the two apart (docs/ARCHITECTURE.md, "Tiered
+/// flow and determinism"). Variables a model does not bind read 0 (or
 /// false). Three guards keep evaluation exact:
 ///   * formulas over arrays bypass the tier (logic::Value compares arrays
 ///     only by their scalar payload);

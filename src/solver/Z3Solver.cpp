@@ -45,8 +45,11 @@
 /// hardware_concurrency() idle contexts and frees the rest. Reuse cannot
 /// change an answer: the queries are quantifier-free linear integer
 /// arithmetic over arrays, which Z3 decides completely whatever the context
-/// handled before. Only sat models may differ, and Σ never reads them. The
-/// per-query contexts of the --incremental=off path are never pooled.
+/// handled before. Only sat models may differ. They steer which lookups
+/// CachingSolver's model tier answers, so a session frees its expressions
+/// in a fixed order (~Session): the models a reused context yields then do
+/// not depend on the process's heap layout. The per-query contexts of the
+/// --incremental=off path are never pooled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,6 +67,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 using namespace expresso;
@@ -242,6 +246,22 @@ private:
     std::unordered_map<const Term *, z3::expr> Memo;
     unsigned Depth = 0; ///< open push() scopes
     Session() : Ctx(Lease.get()), Solver(Ctx, z3::solver::simple()) {}
+    /// Frees the memo's expressions in term-id order. Z3 hands the ids of
+    /// freed ASTs to the next ones a context builds and orders terms by id
+    /// in places, so the order a session frees in shapes the models of the
+    /// sessions that reuse its context. The hash map's own order follows
+    /// the heap addresses of the Terms.
+    ~Session() {
+      std::vector<std::pair<uint32_t, z3::expr>> Held;
+      Held.reserve(Memo.size());
+      for (auto &[T, E] : Memo)
+        Held.emplace_back(T->id(), E);
+      Memo.clear(); // Held keeps every expression alive
+      std::sort(Held.begin(), Held.end(),
+                [](const auto &A, const auto &B) { return A.first < B.first; });
+      while (!Held.empty())
+        Held.pop_back();
+    }
     /// The interrupt hook: an interrupted context never goes back.
     void interrupt() {
       Lease.retire();

@@ -436,6 +436,41 @@ TEST(AbductionTest, UnknownDisjunctionStillQueriesEachDisjunct) {
               D.C.and_(D.P, logic::simplify(D.C, Psi->operand(I))));
 }
 
+/// The skip is for disjunctions only. P = true and Goal = z < x ∧ w < z ∧
+/// x < w over the abducibles {x, z, w}: the one ψ is Goal itself, a
+/// conjunction inconsistent with P whose every conjunct is consistent with
+/// P, so each conjunct must still be queried and returned.
+TEST(AbductionTest, UnsatConjunctionStillQueriesEachConjunct) {
+  logic::TermContext C;
+  const Term *X = C.var("x", logic::Sort::Int);
+  const Term *Z = C.var("z", logic::Sort::Int);
+  const Term *W = C.var("w", logic::Sort::Int);
+  const Term *P = C.getTrue();
+  const Term *Goal = C.and_({C.lt(Z, X), C.lt(W, Z), C.lt(X, W)});
+  std::unique_ptr<solver::SmtSolver> Inner =
+      solver::createSolver(solver::SolverKind::Default, C);
+
+  // The ψ abduce computes for the full abducible set: nothing eliminated.
+  auto PsiOpt =
+      qe::eliminateForall(C, logic::simplify(C, C.implies(P, Goal)), {});
+  ASSERT_TRUE(PsiOpt.has_value());
+  const Term *Psi = logic::simplify(C, *PsiOpt);
+  ASSERT_EQ(Psi->kind(), logic::TermKind::And) << logic::printTerm(Psi);
+  ASSERT_FALSE(Inner->isSat(C.and_(P, Psi))) << logic::printTerm(Psi);
+
+  RecordingSolver Rec(C, *Inner);
+  AbductionConfig Cfg;
+  Cfg.MaxSubsetSize = 0; // only the full set
+  std::vector<const Term *> Got = abduce(C, Rec, P, Goal, {X, Z, W}, Cfg);
+  ASSERT_EQ(Rec.Asked.size(), 1 + Psi->numOperands());
+  EXPECT_EQ(Got.size(), Psi->numOperands());
+  for (const Term *Conjunct : Psi->operands())
+    EXPECT_NE(std::find(Got.begin(), Got.end(),
+                        logic::simplify(C, Conjunct)),
+              Got.end())
+        << "missing " << logic::printTerm(Conjunct);
+}
+
 /// abduce's candidate generation (see Abduction.cpp) with one consistency
 /// query per candidate and no skipping.
 void referenceSubCandidates(logic::TermContext &C, const Term *Psi,

@@ -117,9 +117,6 @@ TEST(PlacementTest, ReadersWritersMatchesFigure2) {
       P.C.implies(P.Result.Invariant, P.C.ge(Readers, P.C.getZero()))));
 }
 
-/// Without the monitor invariant, enterReader can no longer prove the
-/// no-signal triple (the paper's §2 observation) — placement degrades but
-/// stays sound.
 // Specgen seed 2074 (corpus/regressions/) once hung invariant inference on
 // abduction's first consistency check: a 40-way disjunction of atoms such
 // as `36 | 8*v0 + 28 && 9 | 8*v0 + 1`, which the divisibility normal form
@@ -144,6 +141,9 @@ TEST(PlacementTest, DivisibilityRegressionPlacesWithinDeadline) {
   EXPECT_GT(P.Result.Stats.HoareChecks, 0u);
 }
 
+/// Without the monitor invariant, enterReader can no longer prove the
+/// no-signal triple (the paper's §2 observation) — placement degrades but
+/// stays sound.
 TEST(PlacementTest, WithoutInvariantIsConservative) {
   PlacementOptions Opts;
   Opts.UseInvariant = false;
